@@ -58,7 +58,7 @@ from repro.exceptions import (
     ShardWorkerError,
     SimulationError,
 )
-from repro.runtime import hosttime
+from repro.obs import hostclock
 from repro.stack.spec import StackSpec
 from repro.telemetry.timeseries import TimeSeries
 
@@ -795,7 +795,7 @@ class ShardedLockstep:
                 except (BrokenPipeError, OSError) as exc:
                     raise ShardWorkerError(
                         shard, cmd, self._worker_exitcode(shard)) from exc
-            start = hosttime.perf_s()
+            start = hostclock.perf_ns()
             replies: dict[int, Any] = {}
             arrivals: dict[int, float] = {}
             pending = {self._pipes[shard]: shard for shard in per_shard}
@@ -807,7 +807,7 @@ class ShardedLockstep:
                     except (EOFError, OSError) as exc:
                         raise ShardWorkerError(
                             shard, cmd, self._worker_exitcode(shard)) from exc
-                    arrivals[shard] = hosttime.perf_s() - start
+                    arrivals[shard] = (hostclock.perf_ns() - start) / 1e9
                     if status != "ok":
                         raise SimulationError(
                             f"shard {shard} failed on {cmd!r}:\n{value}")

@@ -15,14 +15,15 @@ Layering — each module owns one concern:
 * :mod:`repro.daemon.protocol` — the versioned, line-delimited JSON
   wire format: ``*Request`` / ``*Reply`` / ``*Telemetry`` dataclasses
   and their codec;
-* :mod:`repro.daemon.service` — the :class:`Daemon` core: thread-safe
-  admission (bounded, FIFO per priority), the deterministic tick loop,
+* :mod:`repro.daemon.service` — the :class:`Daemon` core: admission
+  (bounded, FIFO per priority), the deterministic tick loop,
   telemetry fan-out over :mod:`repro.telemetry.pubsub` (HWM drops,
   slow-joiner loss, modelled latency — the paper's ZeroMQ transport
   semantics), and periodic checkpoints;
-* :mod:`repro.daemon.server` — real sockets (Unix-domain or TCP): one
-  reader thread per client, a driver loop pacing simulated epochs
-  against wall time;
+* :mod:`repro.daemon.server` — real sockets (Unix-domain or TCP)
+  served from one selector loop that owns the :class:`Daemon`, with
+  per-connection backpressure and simulated epochs paced against wall
+  time;
 * :mod:`repro.daemon.client` — the ``upctl``-style client library and
   CLI (``python -m repro.daemon.client run/status/list/kill/watch``);
 * :mod:`repro.daemon.checkpointing` — crash-resumable persistence on
@@ -30,8 +31,6 @@ Layering — each module owns one concern:
   (``--resume`` picks a run up from the last periodic checkpoint file
   or the epoch-stamped ``--checkpoint-dir`` store; ``--resume-epoch``
   rewinds — time travel);
-* :mod:`repro.daemon.hostio` — the package's *only* wall-clock reads,
-  audited by the determinism lint;
 * :mod:`repro.daemon.profiles` — the offline-measured demo power book
   for socket smoke tests that cannot afford live characterization.
 

@@ -1,20 +1,29 @@
 """Socket front-end: the daemon on a Unix-domain or TCP endpoint.
 
 :class:`DaemonServer` puts a :class:`~repro.daemon.service.Daemon` on
-a real socket. One acceptor thread hands each client to its own reader
-thread; requests are decoded off the line-delimited JSON wire
-(:mod:`repro.daemon.protocol`), served through :meth:`Daemon.handle`
-(which serializes them under the daemon lock), and answered on the
-same connection. ``watch`` subscriptions additionally receive pushed
-telemetry frames after every tick.
+a real socket and serves it from one :mod:`selectors` loop on the
+thread that calls :meth:`DaemonServer.serve_forever`. That loop is the
+only code that touches the daemon, so the daemon needs no locks: the
+listener and every client socket are non-blocking, requests are decoded
+off the line-delimited JSON wire (:mod:`repro.daemon.protocol`), served
+through :meth:`Daemon.handle` and answered on the same connection.
+``watch`` subscriptions additionally receive pushed telemetry frames
+after every tick.
+
+Backpressure: each connection has an outbound byte buffer. A
+connection is polled for reads only while that buffer is empty, and
+watch frames are moved into it only while it is empty, so a client
+that stops reading stalls only itself. A slow watcher's backlog stays
+in its bus subscription, where the high-water mark drops and counts
+it, and in the bounded event outbox.
 
 Two driving modes:
 
-* **paced** — the server thread owns an
-  :class:`~repro.runtime.pacing.EpochPacer` and converts elapsed wall
-  time (read through the audited :mod:`repro.daemon.hostio` module)
-  into simulated epochs, so the simulation advances in real time while
-  clients come and go;
+* **paced** — the loop owns an
+  :class:`~repro.runtime.pacing.EpochPacer` and, once per pass,
+  converts elapsed wall time (read through the audited
+  :mod:`repro.obs.hostclock` module) into simulated epochs, so the
+  simulation advances in real time while clients come and go;
 * **manual** (``pacer=None``) — simulated time moves only when a
   client sends ``tick``. This is the deterministic mode the e2e tests
   replay command logs under.
@@ -27,34 +36,37 @@ pacer only decides how many epochs to run (see
 from __future__ import annotations
 
 import os
+import selectors
 import socket
-import threading
 
-from repro import obs, sanitize
-from repro.daemon import hostio
+from repro import obs
 from repro.daemon import protocol as proto
 from repro.daemon.service import Daemon
 from repro.exceptions import ConfigurationError, ProtocolError
+from repro.obs import hostclock
 from repro.runtime.pacing import EpochPacer
 
 __all__ = ["DaemonServer"]
 
+_RECV_BYTES = 65536
+
 
 class _ClientConn:
-    """One accepted connection: its socket, a write lock (replies and
-    pushed telemetry frames interleave from different threads), and the
-    watch subscriptions it owns."""
+    """One accepted connection: its socket, the bytes received but not
+    yet served, the bytes owed to the client, the selector events it
+    is polled for, and the watch subscriptions it owns."""
 
-    __slots__ = ("name", "sock", "wlock", "watch_ids")
+    __slots__ = ("cid", "name", "sock", "inbuf", "outbuf", "events",
+                 "watch_ids")
 
-    def __init__(self, name: str, sock: socket.socket) -> None:
-        self.name = name
+    def __init__(self, cid: int, sock: socket.socket) -> None:
+        self.cid = cid
+        self.name = f"client-{cid}"
         self.sock = sock
-        self.wlock = sanitize.tracked_lock("_ClientConn.wlock")
-        # iterated by the driver thread, mutated by the reader thread:
-        # reads are as racy as writes here, so guard both
-        self.watch_ids: set[str] = sanitize.guarded(
-            set(), "_ClientConn.watch_ids", self.wlock, reads=True)
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.events = selectors.EVENT_READ
+        self.watch_ids: list[str] = []
 
 
 class DaemonServer:
@@ -72,8 +84,9 @@ class DaemonServer:
     pacer:
         Wall-clock pacing, or None for manual (tick-by-request) mode.
     tick_wall:
-        Paced mode's driver-loop sleep between pacer polls (wall
-        seconds).
+        The loop's longest wait for socket activity (wall seconds):
+        how often paced mode polls its pacer and how soon
+        :meth:`shutdown` takes effect.
     """
 
     def __init__(self, daemon: Daemon, *, socket_path: str | None = None,
@@ -93,11 +106,9 @@ class DaemonServer:
         self.tick_wall = tick_wall
         self.address: str = ""
         self._listener: socket.socket | None = None
-        self._conns_lock = sanitize.tracked_lock(
-            "DaemonServer._conns_lock")
-        self._conns: dict[int, _ClientConn] = sanitize.guarded(
-            {}, "DaemonServer._conns", self._conns_lock, reads=True)
-        self._stop = threading.Event()
+        self._selector = selectors.DefaultSelector()
+        self._conns: dict[int, _ClientConn] = {}
+        self._stop = False
         self._next_client = 0
 
     # ------------------------------------------------------------------
@@ -126,10 +137,8 @@ class DaemonServer:
             host, port = listener.getsockname()[:2]
             self.address = f"{host}:{port}"
         listener.listen()
-        listener.settimeout(0.1)  # so the acceptor notices shutdown
-        # benign: bind() happens-before Thread.start() of the acceptor,
-        # and _listener is never rebound afterwards
-        self._listener = listener  # repro-lint: disable=conc-unguarded-write
+        listener.setblocking(False)
+        self._listener = listener
         return self.address
 
     def _path_is_live(self) -> bool:
@@ -144,37 +153,40 @@ class DaemonServer:
         return True
 
     def serve_forever(self) -> None:
-        """Bind (if needed), accept clients, and drive ticks until a
-        ``shutdown`` request arrives. Blocks the calling thread."""
+        """Bind (if needed), then serve clients and drive ticks until a
+        ``shutdown`` request or :meth:`shutdown`. Blocks the calling
+        thread and starts no other."""
         if self._listener is None:
             self.bind()
-        acceptor = threading.Thread(target=self._accept_loop,
-                                    name="daemon-accept", daemon=True)
-        acceptor.start()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        last = hostclock.monotonic_s()
         try:
-            self._drive()
+            while not self._stop:
+                for key, events in self._selector.select(self.tick_wall):
+                    conn = key.data
+                    if conn is None:
+                        self._accept()
+                    elif self._conns.get(conn.cid) is conn:
+                        if events & selectors.EVENT_WRITE:
+                            self._flush(conn)
+                            # requests queued behind the reply it sent
+                            self._serve_lines(conn)
+                        else:
+                            self._read(conn)
+                if self.pacer is not None:
+                    now = hostclock.monotonic_s()
+                    due = self.pacer.epochs_due(now - last)
+                    last = now
+                    if due:
+                        self.daemon.tick(due)
+                self._flush_watchers()
         finally:
-            self._stop.set()
-            acceptor.join(timeout=2.0)
             self._teardown()
 
     def shutdown(self) -> None:
-        """Stop the server from another thread."""
-        self._stop.set()
-
-    def _drive(self) -> None:
-        """Paced mode: convert wall time to epochs; manual mode: just
-        flush telemetry produced by client-driven ticks."""
-        last = hostio.monotonic_s()
-        while not self._stop.is_set():
-            hostio.sleep(self.tick_wall)
-            if self.pacer is not None:
-                now = hostio.monotonic_s()
-                due = self.pacer.epochs_due(now - last)
-                last = now
-                if due:
-                    self.daemon.tick(due)
-            self._flush_watchers()
+        """Stop the loop at its next pass (at most ``tick_wall`` wall
+        seconds away); safe to call from another thread."""
+        self._stop = True
 
     def _teardown(self) -> None:
         if self._listener is not None:
@@ -184,110 +196,128 @@ class DaemonServer:
                 os.unlink(self.socket_path)
             except OSError:
                 pass
-        with self._conns_lock:
-            conns = list(self._conns.values())
-            self._conns.clear()
-        for conn in conns:
+        for conn in self._conns.values():
             try:
                 conn.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             conn.sock.close()
+        self._conns.clear()
+        self._selector.close()
 
     # ------------------------------------------------------------------
     # Client handling
     # ------------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
+    def _accept(self) -> None:
         assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            with self._conns_lock:
-                cid = self._next_client
-                self._next_client += 1
-                conn = _ClientConn(f"client-{cid}", sock)
-                self._conns[cid] = conn
-            threading.Thread(target=self._client_loop, args=(cid, conn),
-                             name=f"daemon-{conn.name}",
-                             daemon=True).start()
-
-    def _client_loop(self, cid: int, conn: _ClientConn) -> None:
         try:
-            with conn.sock.makefile("rb") as reader:
-                for line in reader:
-                    if not line.strip():
-                        continue
-                    if not self._serve_line(conn, line):
-                        break
+            sock, _addr = self._listener.accept()
         except OSError:
-            pass
-        finally:
-            self._drop_client(cid, conn)
+            return  # BlockingIOError: the client gave up before accept
+        sock.setblocking(False)
+        conn = _ClientConn(self._next_client, sock)
+        self._next_client += 1
+        self._conns[conn.cid] = conn
+        self._selector.register(sock, conn.events, conn)
 
-    def _serve_line(self, conn: _ClientConn, line: bytes) -> bool:
-        """Serve one request line; False ends the connection's loop
-        (after a shutdown request took the whole server down)."""
+    def _read(self, conn: _ClientConn) -> None:
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            # closed by the client, possibly mid-line: what it sent of
+            # an unfinished request is discarded with the connection
+            self._drop_client(conn)
+            return
+        conn.inbuf += data
+        self._serve_lines(conn)
+
+    def _serve_lines(self, conn: _ClientConn) -> None:
+        """Serve complete request lines while nothing is owed to the
+        client (a client that does not read its replies gets no more
+        served)."""
+        while not conn.outbuf and not self._stop and \
+                self._conns.get(conn.cid) is conn:
+            end = conn.inbuf.find(b"\n")
+            if end < 0:
+                return
+            line = bytes(conn.inbuf[:end + 1])
+            del conn.inbuf[:end + 1]
+            if line.strip():
+                self._serve_line(conn, line)
+
+    def _serve_line(self, conn: _ClientConn, line: bytes) -> None:
         try:
             request = proto.decode(line)
         except ProtocolError as exc:
-            self._send(conn, proto.ErrorReply(code="protocol",
-                                              message=str(exc)))
-            return True
+            self._send(conn, [proto.ErrorReply(code="protocol",
+                                               message=str(exc))])
+            return
         reply = self.daemon.handle(request)
         if isinstance(request, proto.WatchRequest) and \
                 isinstance(reply, proto.WatchReply):
-            # the driver thread iterates watch_ids in _flush_watchers;
-            # wlock serialises this reader-thread mutation against it
-            with conn.wlock:
-                conn.watch_ids.add(reply.watch_id)
-        self._send(conn, reply)
+            conn.watch_ids.append(reply.watch_id)
+        self._send(conn, [reply])
         if isinstance(request, proto.TickRequest):
             # a manual tick produced telemetry; push it out now rather
-            # than waiting for the driver loop's next pass
+            # than waiting for the loop's next pass
             self._flush_watchers()
         if isinstance(request, proto.ShutdownRequest):
-            self._stop.set()
-            return False
-        return True
+            self._stop = True
 
-    def _drop_client(self, cid: int, conn: _ClientConn) -> None:
-        with conn.wlock:
-            watch_ids = list(conn.watch_ids)
-        for watch_id in watch_ids:
+    def _drop_client(self, conn: _ClientConn) -> None:
+        for watch_id in conn.watch_ids:
             self.daemon.detach_watch(watch_id)
-        with self._conns_lock:
-            self._conns.pop(cid, None)
+        del self._conns[conn.cid]
+        self._selector.unregister(conn.sock)
         conn.sock.close()
 
     # ------------------------------------------------------------------
-    # Telemetry push
+    # Output
     # ------------------------------------------------------------------
 
     def _flush_watchers(self) -> None:
-        with self._conns_lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            with conn.wlock:
-                watch_ids = list(conn.watch_ids)
-            for watch_id in watch_ids:
-                for frame in self.daemon.drain_watch(watch_id):
-                    self._send(conn, frame)
+        """Move owed watch frames into every connection whose outbound
+        buffer is empty; a fuller one keeps its backlog in the bus."""
+        for conn in list(self._conns.values()):
+            if conn.outbuf or not conn.watch_ids:
+                continue
+            frames = [frame for watch_id in conn.watch_ids
+                      for frame in self.daemon.drain_watch(watch_id)]
+            if frames:
+                self._send(conn, frames)
 
-    def _send(self, conn: _ClientConn, message: object) -> None:
+    def _send(self, conn: _ClientConn, messages: list) -> None:
+        """Queue ``messages`` for ``conn`` and send what the socket
+        takes now."""
+        for message in messages:
+            try:
+                data = proto.encode(message)
+            except ProtocolError as exc:
+                data = proto.encode(proto.ErrorReply(code="internal",
+                                                     message=str(exc)))
+            conn.outbuf += data
+        self._flush(conn)
+
+    def _flush(self, conn: _ClientConn) -> None:
+        """Send what the socket takes now. Poll for writability while
+        bytes remain owed and for requests once they are all sent."""
         try:
-            data = proto.encode(message)
-        except ProtocolError as exc:
-            data = proto.encode(proto.ErrorReply(code="internal",
-                                                 message=str(exc)))
-        try:
-            with conn.wlock:
-                conn.sock.sendall(data)
+            sent = conn.sock.send(conn.outbuf)
+        except BlockingIOError:
+            sent = 0
         except OSError:
-            return  # reader thread will observe the close and clean up
+            self._drop_client(conn)
+            return
+        del conn.outbuf[:sent]
         obs.metrics().counter("daemon.client_bytes_out",
-                              client=conn.name).inc(len(data))
+                              client=conn.name).inc(sent)
+        events = (selectors.EVENT_WRITE if conn.outbuf
+                  else selectors.EVENT_READ)
+        if events != conn.events:
+            conn.events = events
+            self._selector.modify(conn.sock, events, conn)

@@ -1,9 +1,10 @@
-"""Concurrency rules: lock discipline for the threaded daemon stack.
+"""Concurrency rules: lock discipline for threaded code.
 
-The daemon layer serves many client threads against one shared
-simulation (``Daemon.handle`` under the daemon lock, ``DaemonServer``'s
-acceptor and per-client reader threads, shard worker processes behind
-pipes). Nothing in a per-file linter can see whether that discipline
+The daemon serves its clients from one selector loop and needs no
+locks, but threaded code remains (the :mod:`repro.obs.metrics`
+registry, which an embedding program may use from several threads)
+and may be added again. Nothing in a per-file linter can see whether
+such a discipline
 actually holds — which attribute a lock protects, whether two locks
 are ever taken in both orders, whether a blocking call sits inside a
 critical section. These rules rebuild exactly that picture from the
@@ -11,18 +12,18 @@ critical section. These rules rebuild exactly that picture from the
 
 The analysis, per class:
 
-* **lock discovery** — ``self.X = threading.Lock()/RLock()`` (or the
-  :mod:`repro.sanitize` tracked factories), own and inherited;
+* **lock discovery** — ``self.X = threading.Lock()/RLock()``, own and
+  inherited;
 * **receiver typing** — ``other.attr`` accesses resolve through
   parameter annotations, ``self.Y: T``/``self.Y = T(...)``/``self.Y =
   <annotated param>`` assignments, annotated locals, and a small
   forward flow for container elements (``conns =
   list(self._conns.values())`` followed by ``for conn in conns:``
-  types ``conn`` from ``self._conns: dict[int, _ClientConn]``);
+  types ``conn`` from ``self._conns: dict[int, Conn]``);
 * **held contexts** — a statement's set of held locks follows nested
   ``with self.X:`` blocks *plus* private-method propagation: a
   ``_method`` only ever called with a lock held is analysed as holding
-  it (``Daemon._handle_run`` inherits ``handle``'s lock). Methods that
+  it (``_handle_run`` inherits ``handle``'s lock). Methods that
   are referenced as values but never called (listener callbacks) get
   an unknown context and are exempt rather than guessed — except
   thread targets, which are known roots entered with nothing held;
@@ -38,8 +39,7 @@ Three rules consume the model:
     meant to protect it, and the unguarded write escapes. In a
     thread-*spawning* class additionally: an attribute mutated from one
     thread root and accessed from another with no common lock — the
-    statically visible shape of a data race (this is what found the
-    ``_ClientConn.watch_ids`` race in ``repro.daemon.server``).
+    statically visible shape of a data race.
 
 ``conc-lock-order``
     Build the lock-acquisition-order graph (lexical nesting plus calls
@@ -56,10 +56,10 @@ Three rules consume the model:
     heuristic so ``", ".join(parts)`` stays quiet.
 
 Known approximations (all documented in ``docs/LINTING.md``): locks
-are identified per *class attribute*, so two instances' ``wlock``
+are identified per *class attribute*, so two instances' ``_lock``
 share one graph node; a thread-root label stands for *all* threads
 spawned from it, and accesses whose only shared root is a single
-spawn label are treated as serialised (per-instance reader threads);
+spawn label are treated as serialised (per-instance worker threads);
 iterating a dict attribute directly types the loop variable as the
 *value* type; a private method also called from outside its class is
 analysed with its in-class context only.
@@ -88,10 +88,6 @@ LOCK_FACTORIES = {
     "threading.RLock": "rlock",
     "multiprocessing.Lock": "lock",
     "multiprocessing.RLock": "rlock",
-    "repro.sanitize.tracked_lock": "lock",
-    "repro.sanitize.tracked_rlock": "rlock",
-    "repro.sanitize.tracker.tracked_lock": "lock",
-    "repro.sanitize.tracker.tracked_rlock": "rlock",
 }
 
 #: Thread/process spawn constructors.

@@ -115,10 +115,11 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[tuple, tuple[str, dict[str, Any], Any]] = {}
-        # the daemon's client threads register instruments concurrently
-        # (e.g. a per-client bytes counter on first reply); the lock
-        # covers registration only — updates on an instrument stay
-        # unsynchronized single-opcode-ish operations
+        # an embedding program may register instruments from several
+        # threads at once (a test serving the daemon on one thread
+        # while reading the registry on another); the lock covers
+        # registration and snapshots only — updates on an instrument
+        # stay unsynchronized single-opcode-ish operations
         self._reg_lock = threading.Lock()
 
     def _get(self, kind: type, name: str, labels: dict[str, Any]) -> Any:

@@ -14,8 +14,6 @@ Crash resumption and time travel live in :mod:`repro.runtime.runfile`:
 one :class:`~repro.runtime.runfile.RunCheckpoint` envelope for every
 epoch loop, and the epoch-stamped
 :class:`~repro.runtime.runfile.CheckpointStore` directory format.
-:mod:`repro.runtime.hosttime` is the audited wall-clock the shard
-balancer times epochs with (placement-only; results invariant).
 """
 
 from repro.runtime.clock import SimClock

@@ -447,32 +447,34 @@ class Engine:
         cfg = node.cfg
         node.idle_all()
 
-        # Unconstrained per-task bandwidth demand.
-        mem_tasks: list[TaskState] = []
+        # Unconstrained per-task bandwidth demand. A demand that
+        # underflows to 0.0 (subnormal bytes) runs compute-only: a zero
+        # grant would give the task a zero rate and stall it forever.
         demands: list[float] = []
         for t in running:
             w = t.work
             assert w is not None
-            core = node.cores[t.core_id]
-            s = core.effective_clock()
-            link = cfg.core_link_bandwidth * core.duty
+            demand = 0.0
             if w.bytes > 0:
+                core = node.cores[t.core_id]
+                s = core.effective_clock()
+                link = cfg.core_link_bandwidth * core.duty
                 standalone = standalone_time(w.cycles, w.bytes, s, link)
-                demands.append(bandwidth_demand(w.bytes, standalone))
-                mem_tasks.append(t)
-            else:
-                t.bytes_rate = 0.0
-        if mem_tasks:
-            grants = allocate_bandwidth(demands, node.effective_mem_bandwidth)
+                demand = bandwidth_demand(w.bytes, standalone)
+            demands.append(demand)
+        mem_demands = [d for d in demands if d > 0]
+        if mem_demands:
+            grants = allocate_bandwidth(mem_demands,
+                                        node.effective_mem_bandwidth)
         else:
             grants = np.empty(0)
 
         gi = 0
-        for t in running:
+        for t, demand in zip(running, demands):
             w = t.work
             core = node.cores[t.core_id]
             s = core.effective_clock()
-            if w.bytes > 0:
+            if demand > 0:
                 granted = float(grants[gi])
                 gi += 1
                 t.bytes_rate = granted

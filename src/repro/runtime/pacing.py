@@ -8,7 +8,7 @@ server asks how many whole epochs have come due since the last tick and
 runs exactly that many.
 
 This module deliberately reads no clock. The server measures elapsed
-wall time through the audited :mod:`repro.daemon.hostio` module and
+wall time through the audited :mod:`repro.obs.hostclock` module and
 passes the reading in; :class:`EpochPacer` only does arithmetic on it.
 That split keeps the determinism contract auditable: pacing decides
 *when* epochs run (and therefore when telemetry is drained to

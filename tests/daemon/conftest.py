@@ -7,10 +7,14 @@ in seconds of uncapped lammps progress, exactly like the scheduler
 suite's fixtures.
 """
 
+import contextlib
+import threading
+
 import pytest
 
 from repro.daemon import protocol as proto
 from repro.daemon.profiles import DEMO_LAMMPS_RATE, demo_book
+from repro.daemon.server import DaemonServer
 from repro.daemon.service import Daemon, DaemonConfig
 from repro.scheduler import SchedulerConfig
 
@@ -45,6 +49,23 @@ def drain(daemon, max_epochs=500):
         if taken == 0:
             return total
         assert total <= max_epochs, "daemon did not drain"
+
+
+@contextlib.contextmanager
+def serving(daemon, path):
+    """Serve ``daemon`` in manual mode on the Unix socket ``path`` from
+    a background thread; yields the server and stops it on exit."""
+    server = DaemonServer(daemon, socket_path=str(path), pacer=None,
+                          tick_wall=0.01)
+    server.bind()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "server loop did not stop"
 
 
 @pytest.fixture()

@@ -1,11 +1,12 @@
-"""Daemon core tests: admission (including under thread contention),
-lifecycle, telemetry fan-out, and determinism."""
+"""Daemon core tests: admission (including many socket clients at
+once), lifecycle, telemetry fan-out, and determinism."""
 
 import threading
 
 import pytest
 
 from repro.daemon import protocol as proto
+from repro.daemon.client import DaemonClient
 from repro.scheduler import JobState
 
 from tests.daemon.conftest import (
@@ -13,6 +14,7 @@ from tests.daemon.conftest import (
     make_daemon,
     make_daemon_config,
     run_request,
+    serving,
 )
 
 pytestmark = pytest.mark.slow
@@ -77,36 +79,42 @@ class TestAdmission:
 
 
 class TestConcurrentAdmission:
-    """The ISSUE's concurrency contract: N threads submitting at once
-    lose nothing, duplicate nothing, and drain FIFO per priority."""
+    """The concurrency contract: N socket clients submitting at once
+    through one server lose nothing, duplicate nothing, and drain FIFO
+    per priority."""
 
     N_THREADS = 8
     PER_THREAD = 4
 
-    def _submit_storm(self, daemon, priority_of):
+    def _submit_storm(self, daemon, priority_of, tmp_path):
         barrier = threading.Barrier(self.N_THREADS)
         replies = {}
+        path = str(tmp_path / "d.sock")
 
         def worker(t):
-            barrier.wait()
-            for i in range(self.PER_THREAD):
-                job_id = f"t{t}-{i}"
-                replies[job_id] = daemon.handle(
-                    run_request(job_id, seconds=2.5,
-                                priority=priority_of(t, i)))
+            with DaemonClient(socket_path=path, timeout=30.0) as client:
+                barrier.wait(timeout=30.0)
+                for i in range(self.PER_THREAD):
+                    job_id = f"t{t}-{i}"
+                    replies[job_id] = client.request(
+                        run_request(job_id, seconds=2.5,
+                                    priority=priority_of(t, i)))
 
-        threads = [threading.Thread(target=worker, args=(t,))
-                   for t in range(self.N_THREADS)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+        with serving(daemon, path):
+            threads = [threading.Thread(target=worker, args=(t,))
+                       for t in range(self.N_THREADS)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+                assert not th.is_alive()
+        assert len(replies) == self.N_THREADS * self.PER_THREAD
         return replies
 
-    def test_no_lost_or_duplicated_submissions(self):
+    def test_no_lost_or_duplicated_submissions(self, tmp_path):
         daemon = make_daemon(queue_capacity=64)
         try:
-            replies = self._submit_storm(daemon, lambda t, i: 0)
+            replies = self._submit_storm(daemon, lambda t, i: 0, tmp_path)
             assert all(isinstance(r, proto.RunReply)
                        for r in replies.values())
             seqs = sorted(r.seq for r in replies.values())
@@ -118,12 +126,12 @@ class TestConcurrentAdmission:
         finally:
             daemon.close()
 
-    def test_fifo_within_priority_across_threads(self):
+    def test_fifo_within_priority_across_threads(self, tmp_path):
         daemon = make_daemon(queue_capacity=64)
         try:
-            # threads 0-3 submit priority 0, threads 4-7 priority 5
+            # clients 0-3 submit priority 0, clients 4-7 priority 5
             replies = self._submit_storm(
-                daemon, lambda t, i: 5 if t >= 4 else 0)
+                daemon, lambda t, i: 5 if t >= 4 else 0, tmp_path)
             daemon.tick(1)  # admit the buffer into the scheduler
             submitted = [e.job_id for e in daemon.scheduler.events
                          if type(e).__name__ == "JobSubmitted"]
@@ -141,11 +149,11 @@ class TestConcurrentAdmission:
         finally:
             daemon.close()
 
-    def test_capacity_enforced_under_contention(self):
+    def test_capacity_enforced_under_contention(self, tmp_path):
         capacity = 10
         daemon = make_daemon(queue_capacity=capacity)
         try:
-            replies = self._submit_storm(daemon, lambda t, i: 0)
+            replies = self._submit_storm(daemon, lambda t, i: 0, tmp_path)
             accepted = [r for r in replies.values()
                         if isinstance(r, proto.RunReply)]
             rejected = [r for r in replies.values()

@@ -107,23 +107,6 @@ class TestWriteDiscipline:
                     self.n += 1
         """) == []
 
-    def test_sanitize_tracked_lock_is_a_lock(self):
-        assert "conc-unguarded-write" in _ids("""
-            from repro import sanitize
-
-            class Box:
-                def __init__(self):
-                    self._lock = sanitize.tracked_rlock("Box._lock")
-                    self.items = []
-
-                def put(self, x):
-                    with self._lock:
-                        self.items.append(x)
-
-                def rogue(self, x):
-                    self.items.append(x)
-        """)
-
     def test_callback_context_is_exempt(self):
         # _on_event is registered as a value; its entry context is
         # unknowable, so its write must not count as unguarded.

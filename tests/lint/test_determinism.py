@@ -3,6 +3,7 @@
 import textwrap
 
 from repro.lint import lint_source
+from repro.lint.rules.determinism import AUDITED_CLOCK_MODULES
 
 
 def _ids(source: str) -> list[str]:
@@ -257,18 +258,25 @@ class TestObsClockModule:
             / "obs" / "hostclock.py"
         assert "repro-lint: disable" not in module.read_text()
 
-    def test_daemon_hostio_is_audited_too(self):
-        # repro.daemon confines its wall-clock reads (pacing, socket
-        # timeouts) to repro/daemon/hostio.py; the linter must treat it
-        # like the obs host-clock module.
-        assert self._ids_at(
-            self.CLOCK_SOURCE, "src/repro/daemon/hostio.py") == []
-        ids = self._ids_at(self.CLOCK_SOURCE,
-                           "src/repro/daemon/service.py")
-        assert ids.count("det-wallclock") == 2
-
     def test_shipped_hostio_module_needs_no_suppressions(self):
+        # the daemon's host I/O (socket loop, client waits) reads time
+        # only through repro/obs/hostclock.py, so it lints clean with
+        # no per-line suppressions
         import pathlib
-        module = pathlib.Path(__file__).parents[2] / "src" / "repro" \
-            / "daemon" / "hostio.py"
-        assert "repro-lint: disable" not in module.read_text()
+        src = pathlib.Path(__file__).parents[2] / "src"
+        for rel in ("repro/daemon/server.py", "repro/daemon/client.py",
+                    "repro/obs/hostclock.py"):
+            text = (src / rel).read_text()
+            assert "repro-lint: disable" not in text, rel
+            assert lint_source(text, path=f"src/{rel}") == [], rel
+
+    def test_one_audited_clock_module(self):
+        # the daemon's pacing and the shard balancer's step timer read
+        # the same audited module; their former clock modules and the
+        # daemon's own modules get no pass
+        assert AUDITED_CLOCK_MODULES == ("repro/obs/hostclock.py",)
+        for path in ("src/repro/daemon/hostio.py",
+                     "src/repro/runtime/hosttime.py",
+                     "src/repro/daemon/server.py"):
+            ids = self._ids_at(self.CLOCK_SOURCE, path)
+            assert ids.count("det-wallclock") == 2, path

@@ -375,3 +375,19 @@ def test_work_conservation(items):
     total_misses = sum(b for _, b in items) / node.cfg.cache_line
     assert snap.total("PAPI_TOT_INS") == pytest.approx(total_ins, rel=1e-9)
     assert snap.total("PAPI_L3_TCM") == pytest.approx(total_misses, rel=1e-9)
+
+
+def test_subnormal_bytes_run_compute_only():
+    """A byte count whose bandwidth demand underflows to 0.0 must still
+    retire its instructions rather than stall at a zero grant."""
+    node = SimulatedNode()
+    engine = Engine(node)
+    engine.add_timer(0.001, lambda now: None, period=0.0137)
+
+    def body():
+        yield Work(cycles=8.93e9, bytes=5e-324)
+
+    engine.spawn(body(), core_id=0)
+    engine.run(until=50.0)
+    snap = node.counters.snapshot(node.clock.now)
+    assert snap.total("PAPI_TOT_INS") == pytest.approx(8.93e9, rel=1e-9)
