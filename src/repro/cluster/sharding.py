@@ -1,19 +1,20 @@
 """Sharded epoch-lockstep execution over long-lived worker processes.
 
-The lockstep invariant (see :mod:`repro.cluster.lockstep`) is that nodes
-interact *only* through epoch-granular budget decisions. That makes the
-per-epoch data flow tiny and explicit — budgets go down, trailing
-progress rates and epoch energy come back up — while the heavy state
-(every node's engine, firmware, bus, monitors) never moves. This module
-exploits exactly that shape:
+The lockstep invariant is that nodes interact *only* through
+epoch-granular budget decisions. That makes the per-epoch data flow
+tiny and explicit — budgets go down, trailing progress rates and epoch
+energy come back up — while the heavy state (every node's engine,
+firmware, bus, monitors) never moves. This module exploits exactly
+that shape:
 
 * :class:`ShardedLockstep` partitions nodes round-robin over ``shards``
   long-lived worker processes. Each worker *rebuilds* its shard's
   :class:`~repro.cluster.node_instance.NodeInstance`\\ s from picklable
   :class:`~repro.stack.spec.StackSpec`\\ s (or mid-run checkpoints, see
   :meth:`NodeInstance.snapshot`) and keeps them alive across epochs.
-* Per epoch the parent sends one :class:`StepRequest` per node and gets
-  one :class:`StepResult` back — a handful of floats either way.
+* Per epoch the parent sends each shard its nodes' :class:`StepRequest`\\ s
+  and gets one :class:`StepResult` per node back — a handful of floats
+  either way.
 * With ``shards=1`` no process is spawned: the same
   :func:`step_node` function runs in-process on locally built nodes, so
   the serial path and the sharded path produce identical results *by
@@ -25,21 +26,20 @@ budgets on its next tick, so delivering a budget in the worker
 immediately before the epoch's ``advance`` is indistinguishable from the
 serial code delivering it between epochs.
 
-Two further knobs ride on the same shape:
+``engine`` selects the node host each shard (and the serial path)
+runs: ``"object"`` keeps one live stack per node (the reference
+engine), ``"vector"`` batches eligible nodes into
+:class:`~repro.vector.host.VectorEngine` structure-of-arrays groups that
+advance in one numpy step per epoch. Both hosts expose the same
+build/step/rate/telemetry/checkpoint surface and produce bit-identical
+results (pinned by ``tests/vector``), so callers only pick a speed.
 
-* ``engine`` selects the node host each shard (and the serial path)
-  runs: ``"object"`` keeps one live stack per node (the reference
-  engine), ``"vector"`` batches eligible nodes into
-  :class:`~repro.vector.host.VectorEngine` structure-of-arrays groups
-  that advance in one numpy step per epoch. Both hosts expose the same
-  build/step/rate/telemetry/checkpoint surface and produce bit-identical
-  results (pinned by ``tests/vector``), so callers only pick a speed.
-* ``compact_wire`` shrinks the per-epoch pickle traffic: requests are
-  grouped by ``(target, windows)`` so those ride once per group instead
-  of once per node, budgets are shipped only when they differ from what
-  the parent last sent that node (the tracking policy re-applying an
-  unchanged budget is a no-op, so skipping the send is exact), and
-  replies drop the dataclass framing for bare float tuples.
+The ``step`` wire is compact: requests are grouped by ``(target,
+windows)`` so those ride once per group instead of once per node,
+budgets are shipped only when they differ from what the parent last
+sent that node (the tracking policy re-applying an unchanged budget is
+a no-op, so skipping the send is exact), and replies drop the
+dataclass framing for bare float tuples.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class PayloadStats:
         self.bytes_down += down
         self.bytes_up += up
         self.dispatches += 1
-        if cmd in ("step", "step2"):
+        if cmd == "step":
             self.epoch_payloads.append((down, up))
 
     @property
@@ -172,9 +172,12 @@ class NodeTelemetry:
 
 
 def node_rate(node: NodeInstance, window: float) -> float:
-    """Trailing progress rate with the lockstep empty-monitor guard
-    (0.0 before the monitor's first sample), exactly as
-    :func:`repro.cluster.lockstep.collect_rates` computes it."""
+    """Trailing progress rate, 0.0 before the monitor's first sample.
+
+    Every node is in that state during the first epoch (the 1 Hz
+    monitor only closes its first window at t = interval); the guard
+    keeps NaNs out of the budget allocation.
+    """
     if node.monitor.series.is_empty():
         return 0.0
     return node.recent_rate(window=window)
@@ -284,12 +287,12 @@ def _make_host(engine: str):
 
 
 # ----------------------------------------------------------------------
-# Compact step wire (v2)
+# The step wire
 # ----------------------------------------------------------------------
 
 
 def _decode_step_groups(groups) -> list[StepRequest]:
-    """Expand a compact ``step2`` payload back into StepRequests.
+    """Expand a ``step`` payload back into StepRequests.
 
     Each group is ``(target, windows, entries)``; an entry is a bare
     ``node_id`` (no budget change) or ``(node_id, budget)`` (deliver it).
@@ -338,8 +341,6 @@ def _worker_main(conn, engine: str = "object") -> None:
                 host.build(payload)
                 conn.send(("ok", None))
             elif cmd == "step":
-                conn.send(("ok", host.step(payload)))
-            elif cmd == "step2":
                 requests = _decode_step_groups(payload)
                 results = host.step(requests)
                 conn.send(("ok", _encode_step_replies(requests, results)))
@@ -396,13 +397,6 @@ class ShardedLockstep:
         :mod:`repro.obs` tracing is enabled, which additionally emits
         one ``shard.payload`` instant per involved shard per dispatch.
         Payload sizes never influence execution.
-    compact_wire:
-        Ship epoch steps over the compact ``step2`` wire: targets and
-        windows ride once per ``(target, windows)`` group, budgets only
-        when they differ from the last one sent to that node, replies as
-        bare float tuples. On by default; only affects ``shards >= 2``
-        (the serial path has no wire). Set False to force the original
-        one-dataclass-per-node framing.
     balancer:
         An elastic rebalancer (duck-typed as
         :class:`repro.cluster.elastic.ShardBalancer`): after every
@@ -417,7 +411,6 @@ class ShardedLockstep:
     def __init__(self, shards: int = 1, *, engine: str = "object",
                  start_method: str | None = None,
                  measure_payloads: bool = False,
-                 compact_wire: bool = True,
                  balancer=None) -> None:
         # Assigned before any validation so close() — and therefore
         # __del__ — is safe on a partially constructed instance.
@@ -435,7 +428,6 @@ class ShardedLockstep:
         self.shards = shards
         self.engine = engine
         self.measure_payloads = measure_payloads
-        self.compact_wire = compact_wire
         self.balancer = balancer
         self.payload_stats = PayloadStats()
         #: Per-shard wall seconds of the most recent sharded epoch step
@@ -603,24 +595,19 @@ class ShardedLockstep:
         per_shard: dict[int, list[StepRequest]] = {}
         for req in requests:
             per_shard.setdefault(self._shard_of[req.node_id], []).append(req)
-        if not self.compact_wire:
-            replies = self._dispatch("step", per_shard)
-            by_node = {res.node_id: res
-                       for results in replies.values() for res in results}
-        else:
-            payloads: dict[int, list] = {}
-            grouped: dict[int, list[StepRequest]] = {}
-            for shard, reqs in per_shard.items():
-                payloads[shard], grouped[shard] = self._compact_payload(reqs)
-            replies = self._dispatch("step2", payloads)
-            by_node = {}
-            for shard, rows in replies.items():
-                for req, row in zip(grouped[shard], rows):
-                    now, energy, cumulative, rate_values = row
-                    by_node[req.node_id] = StepResult(
-                        node_id=req.node_id, now=now, energy=energy,
-                        cumulative=cumulative,
-                        rates=dict(zip(req.windows, rate_values)))
+        payloads: dict[int, list] = {}
+        grouped: dict[int, list[StepRequest]] = {}
+        for shard, reqs in per_shard.items():
+            payloads[shard], grouped[shard] = self._step_payload(reqs)
+        replies = self._dispatch("step", payloads)
+        by_node: dict[int, StepResult] = {}
+        for shard, rows in replies.items():
+            for req, row in zip(grouped[shard], rows):
+                now, energy, cumulative, rate_values = row
+                by_node[req.node_id] = StepResult(
+                    node_id=req.node_id, now=now, energy=energy,
+                    cumulative=cumulative,
+                    rates=dict(zip(req.windows, rate_values)))
         if self.balancer is not None and self.shard_times:
             plan = self.balancer.observe(self.shard_times,
                                          self.shard_nodes())
@@ -629,10 +616,10 @@ class ShardedLockstep:
                     {move.node_id: move.dst for move in plan.moves})
         return [by_node[req.node_id] for req in requests]
 
-    def _compact_payload(
+    def _step_payload(
         self, reqs: Sequence[StepRequest],
     ) -> tuple[list, list[StepRequest]]:
-        """One shard's ``step2`` payload plus the requests in the order
+        """One shard's ``step`` payload plus the requests in the order
         the worker will answer them (groups in first-seen order, entries
         in request order within each group).
 
@@ -773,7 +760,7 @@ class ShardedLockstep:
         :func:`multiprocessing.connection.wait`, so a dead worker
         surfaces as a typed :class:`ShardWorkerError` instead of a
         hang), and each shard's send-to-reply wall time is measured —
-        for ``step``/``step2`` these land in :attr:`shard_times` as the
+        for ``step`` these land in :attr:`shard_times` as the
         balancer's signal. Worker-side exceptions ship back as formatted
         tracebacks and re-raise here as :class:`SimulationError`. With
         payload measurement on (explicitly or via tracing), each
@@ -812,7 +799,7 @@ class ShardedLockstep:
                         raise SimulationError(
                             f"shard {shard} failed on {cmd!r}:\n{value}")
                     replies[shard] = value
-            if cmd in ("step", "step2"):
+            if cmd == "step":
                 self._record_step_times(arrivals)
             if measure:
                 total_down = total_up = 0

@@ -29,6 +29,7 @@ import copy
 import numpy as np
 
 from repro import obs
+from repro.cluster.elastic import ShardBalancer
 from repro.cluster.node_instance import NodeInstance
 from repro.cluster.sharding import ShardedLockstep, StepRequest
 from repro.cluster.variability import perturb_config
@@ -38,7 +39,11 @@ from repro.exceptions import (
     check_snapshot_version,
 )
 from repro.hardware.config import NodeConfig, skylake_config
-from repro.runtime.runfile import RUN_CHECKPOINT_VERSION, RunCheckpoint
+from repro.runtime.runfile import (
+    RUN_CHECKPOINT_VERSION,
+    RunCheckpoint,
+    resolve_checkpoint,
+)
 from repro.stack import BUDGET, StackSpec
 from repro.telemetry.timeseries import TimeSeries
 
@@ -46,13 +51,9 @@ __all__ = ["ClusterSimulation"]
 
 
 def _balancer(balance: bool, shards: int):
-    """A ShardBalancer when asked for and meaningful, else None (local
-    import — :mod:`repro.cluster.elastic` imports this module back for
-    its rewind helpers)."""
+    """A ShardBalancer when asked for and meaningful, else None."""
     if not balance or shards < 2:
         return None
-    from repro.cluster.elastic import ShardBalancer
-
     return ShardBalancer()
 
 
@@ -124,7 +125,7 @@ class ClusterSimulation:
         self._now = 0.0
         self._epochs = 0  #: completed epochs (RunCheckpoint file index)
         # Rates the next allocation will use, keyed by window; seeded
-        # with the empty-monitor zeros collect_rates reports at t=0.
+        # with the empty-monitor zeros node_rate reports at t=0.
         self._alloc_rates: dict[float, list[float]] = {}
         self.budget_history = TimeSeries("allocated-total")
         self.total_progress = TimeSeries("job-total-progress")
@@ -316,22 +317,24 @@ class ClusterSimulation:
         )
 
     @classmethod
-    def resume(cls, checkpoint: RunCheckpoint, *, policy=None,
+    def resume(cls, source, *, epoch: int | None = None, policy=None,
                shards: int = 1, engine: str = "object",
                balance: bool = False) -> "ClusterSimulation":
         """Rebuild a simulation from a :meth:`run_checkpoint`.
 
-        ``shards``/``engine``/``balance`` choose the execution
-        substrate for the continuation — independent of what the
-        recorded run used, and invisible to results. ``policy`` (when
-        given) replaces the checkpointed policy: the time-travel seam.
-        Continue with ``run(until=...)`` (sharing the original end
-        time) for bit-identical series.
+        ``source`` is anything :func:`~repro.runtime.runfile
+        .resolve_checkpoint` accepts: a :class:`RunCheckpoint`, a
+        :class:`~repro.runtime.runfile.CheckpointStore`, a store
+        directory or a checkpoint file. With a store, ``epoch`` picks
+        the newest checkpoint at or before it (time travel); ``None``
+        resumes the latest. ``shards``/``engine``/``balance`` choose
+        the execution substrate for the continuation — independent of
+        what the recorded run used, and invisible to results.
+        ``policy`` (when given) replaces the checkpointed policy: the
+        time-travel seam. Continue with ``run(until=...)`` (sharing the
+        original end time) for bit-identical series.
         """
-        if checkpoint.kind != "cluster":
-            raise CheckpointError(
-                f"expected a 'cluster' checkpoint, got "
-                f"{checkpoint.kind!r}")
+        checkpoint = resolve_checkpoint(source, kind="cluster", epoch=epoch)
         sim = cls.__new__(cls)
         sim.policy = None
         sim._node_ids = []

@@ -19,18 +19,17 @@ Layering — each module owns one concern:
   (bounded, FIFO per priority), the deterministic tick loop,
   telemetry fan-out over :mod:`repro.telemetry.pubsub` (HWM drops,
   slow-joiner loss, modelled latency — the paper's ZeroMQ transport
-  semantics), and periodic checkpoints;
+  semantics), and crash-resumable persistence on the repo-wide
+  :class:`~repro.runtime.runfile.RunCheckpoint` format
+  (:meth:`Daemon.checkpoint` into the epoch-stamped
+  ``--checkpoint-dir`` store, :meth:`Daemon.resume` back out of it;
+  ``--resume-epoch`` rewinds — time travel);
 * :mod:`repro.daemon.server` — real sockets (Unix-domain or TCP)
   served from one selector loop that owns the :class:`Daemon`, with
   per-connection backpressure and simulated epochs paced against wall
   time;
 * :mod:`repro.daemon.client` — the ``upctl``-style client library and
   CLI (``python -m repro.daemon.client run/status/list/kill/watch``);
-* :mod:`repro.daemon.checkpointing` — crash-resumable persistence on
-  the repo-wide :class:`~repro.runtime.runfile.RunCheckpoint` format
-  (``--resume`` picks a run up from the last periodic checkpoint file
-  or the epoch-stamped ``--checkpoint-dir`` store; ``--resume-epoch``
-  rewinds — time travel);
 * :mod:`repro.daemon.profiles` — the offline-measured demo power book
   for socket smoke tests that cannot afford live characterization.
 
@@ -45,12 +44,6 @@ and talk to it with ``python -m repro.daemon.client --socket
 /tmp/repro.sock run lammps --nodes 2 --seconds 3``.
 """
 
-from repro.daemon.checkpointing import (
-    build_run_checkpoint,
-    load_checkpoint,
-    resume_daemon,
-    save_checkpoint,
-)
 from repro.daemon.client import DaemonClient
 from repro.daemon.protocol import PROTOCOL_VERSION, decode, encode
 from repro.daemon.server import DaemonServer
@@ -61,10 +54,6 @@ __all__ = [
     "DaemonConfig",
     "DaemonServer",
     "DaemonClient",
-    "build_run_checkpoint",
-    "save_checkpoint",
-    "load_checkpoint",
-    "resume_daemon",
     "PROTOCOL_VERSION",
     "encode",
     "decode",

@@ -32,6 +32,17 @@ Admission is FIFO per priority: the buffer drains in
 ``(-priority, seq)`` order, where ``seq`` is assigned at admission in
 the order requests are served, so equal-priority jobs enter the
 scheduler queue exactly in arrival order however many clients submit.
+
+Persistence: every ``checkpoint_interval`` epochs, and on shutdown, the
+daemon saves a ``"daemon"``
+:class:`~repro.runtime.runfile.RunCheckpoint` into its epoch-stamped
+:class:`~repro.runtime.runfile.CheckpointStore` (:meth:`checkpoint`);
+:meth:`Daemon.resume` rebuilds the service from it and continues
+bit for bit. Two things are deliberately not persisted: watch
+subscriptions (connection-scoped — clients reconnect as slow joiners,
+exactly as after any disconnect) and the telemetry bus's loss-process
+state (a resumed daemon restarts the drop RNG from its seed; the bus is
+observe-only, so this cannot affect parity).
 """
 
 from __future__ import annotations
@@ -43,16 +54,31 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.daemon import protocol as proto
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import (
+    CheckpointError,
+    ConfigurationError,
+    ReproError,
+    check_snapshot_version,
+)
 from repro.hardware.config import NodeConfig
 from repro.scheduler.events import SchedulerEvent
 from repro.scheduler.job import Job, JobState
-from repro.scheduler.powerbook import PowerBook
+from repro.scheduler.powerbook import AppPowerProfile, PowerBook
 from repro.scheduler.scheduler import PowerAwareScheduler, SchedulerConfig
 from repro.runtime.clock import SimClock
+from repro.runtime.runfile import (
+    RUN_CHECKPOINT_VERSION,
+    CheckpointStore,
+    RunCheckpoint,
+    resolve_checkpoint,
+)
 from repro.telemetry.pubsub import MessageBus, SubSocket
 
-__all__ = ["DaemonConfig", "Daemon"]
+__all__ = ["DAEMON_STATE_VERSION", "DaemonConfig", "Daemon"]
+
+#: Schema version of the daemon's ``state`` payload inside the
+#: :class:`RunCheckpoint` envelope; bump on layout change.
+DAEMON_STATE_VERSION = 2
 
 #: Reliable event outboxes are bounded too (a detached watcher must not
 #: grow without limit); beyond this the oldest events are discarded.
@@ -70,19 +96,14 @@ class DaemonConfig:
     queue_capacity:
         Jobs that may wait (admission buffer + scheduler queue) before
         new submissions are rejected with a ``queue-full`` error.
-    checkpoint_every:
-        Simulated epochs between periodic checkpoints; 0 disables.
-    checkpoint_path:
-        Where periodic (and shutdown) checkpoints are written (a single
-        file, atomically replaced each time).
     checkpoint_interval:
         Simulated epochs between epoch-stamped
         :class:`~repro.runtime.runfile.RunCheckpoint` saves into
         ``checkpoint_dir``; 0 disables.
     checkpoint_dir:
         Directory for the epoch-stamped checkpoint store
-        (:class:`~repro.runtime.runfile.CheckpointStore`). Unlike the
-        single ``checkpoint_path`` file, the store keeps *every*
+        (:class:`~repro.runtime.runfile.CheckpointStore`), written
+        periodically and on shutdown. The store keeps *every*
         checkpoint, enabling time-travel resume (``--resume-epoch``).
     telemetry_delay:
         Modelled bus delivery latency in *simulated* seconds — frames
@@ -97,8 +118,6 @@ class DaemonConfig:
 
     scheduler: SchedulerConfig
     queue_capacity: int = 64
-    checkpoint_every: int = 0
-    checkpoint_path: str | None = None
     checkpoint_interval: int = 0
     checkpoint_dir: str | None = None
     telemetry_delay: float = 0.0
@@ -110,13 +129,6 @@ class DaemonConfig:
         if self.queue_capacity < 1:
             raise ConfigurationError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.checkpoint_every < 0:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got "
-                f"{self.checkpoint_every}")
-        if self.checkpoint_every and not self.checkpoint_path:
-            raise ConfigurationError(
-                "checkpoint_every > 0 requires a checkpoint_path")
         if self.checkpoint_interval < 0:
             raise ConfigurationError(
                 f"checkpoint_interval must be >= 0, got "
@@ -197,13 +209,8 @@ class Daemon:
         self.epochs = 0          #: scheduler steps taken over the lifetime
         self.ticks = 0
         self._shutdown = False
-        if config.checkpoint_dir:
-            from repro.runtime.runfile import CheckpointStore
-
-            self._run_store = CheckpointStore(config.checkpoint_dir,
-                                              kind="daemon")
-        else:
-            self._run_store = None
+        self._store = (CheckpointStore(config.checkpoint_dir, kind="daemon")
+                       if config.checkpoint_dir else None)
         self.scheduler.add_listener(self._on_event)
         self.scheduler.add_epoch_listener(self._on_epoch)
 
@@ -415,14 +422,9 @@ class Daemon:
 
     def _handle_shutdown(self) -> proto.ShutdownReply:
         self._shutdown = True
-        checkpointed = False
-        if self.config.checkpoint_path:
+        if self._store is not None:
             self.checkpoint()
-            checkpointed = True
-        if self._run_store is not None:
-            self.store_checkpoint()
-            checkpointed = True
-        return proto.ShutdownReply(checkpointed=checkpointed)
+        return proto.ShutdownReply(checkpointed=self._store is not None)
 
     # ------------------------------------------------------------------
     # The tick loop
@@ -448,12 +450,9 @@ class Daemon:
                 self.epochs += 1
                 if self.scheduler.now > self.clock.now:
                     self.clock.advance_to(self.scheduler.now)
-                every = self.config.checkpoint_every
-                if every and self.epochs % every == 0:
-                    self.checkpoint()
                 interval = self.config.checkpoint_interval
                 if interval and self.epochs % interval == 0:
-                    self.store_checkpoint()
+                    self.checkpoint()
         self.ticks += 1
         dropped = self.bus.dropped + sum(
             w.sub.overflowed for w in self._watchers.values())
@@ -549,31 +548,103 @@ class Daemon:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> str:
-        """Write a resumable checkpoint to the configured path."""
-        from repro.daemon.checkpointing import save_checkpoint
-
-        if not self.config.checkpoint_path:
-            raise ConfigurationError(
-                "daemon has no checkpoint_path configured")
-        path = save_checkpoint(self, self.config.checkpoint_path)
-        obs.tracer().instant("daemon.checkpoint", path=path,
-                             epochs=self.epochs)
-        return path
-
-    def store_checkpoint(self) -> str:
         """Write an epoch-stamped checkpoint into the configured store
-        (``checkpoint_dir``); returns the file path. Unlike
-        :meth:`checkpoint`, earlier epochs stay on disk, so the run can
-        later be rewound (time travel)."""
-        from repro.daemon.checkpointing import build_run_checkpoint
-
-        if self._run_store is None:
+        (``checkpoint_dir``); returns the file path. Earlier epochs stay
+        on disk, so the run can later be rewound (time travel)."""
+        if self._store is None:
             raise ConfigurationError(
                 "daemon has no checkpoint_dir configured")
-        path = self._run_store.save(build_run_checkpoint(self))
+        path = self._store.save(self.run_checkpoint())
         obs.tracer().instant("daemon.checkpoint", path=path,
                              epochs=self.epochs)
         return path
+
+    def run_checkpoint(self) -> RunCheckpoint:
+        """The daemon's full mid-run state as a ``"daemon"``
+        :class:`RunCheckpoint`: config, admission bookkeeping, the power
+        book's measured profiles and a full scheduler
+        :meth:`~repro.scheduler.scheduler.PowerAwareScheduler.snapshot`
+        (which carries a node checkpoint for every running node).
+
+        ``state["meta"]`` holds one entry per submission the daemon ever
+        accepted: ``{"seq", "priority", "request": RunRequest,
+        "buffered", "killed"}`` — submissions still buffered at
+        checkpoint time are re-admitted on the resumed daemon's first
+        tick.
+        """
+        meta = [{
+            "seq": m.seq,
+            "priority": m.priority,
+            "request": m.request,
+            "buffered": m.buffered,
+            "killed": m.killed,
+        } for m in sorted(self._meta.values(), key=lambda m: m.seq)]
+        state = {
+            "version": DAEMON_STATE_VERSION,
+            "protocol": proto.PROTOCOL_VERSION,
+            "epochs": self.epochs,
+            "ticks": self.ticks,
+            "seq": self._seq,
+            "meta": meta,
+            "progress": dict(self._progress),
+            "book_profiles": dict(self.book._profiles),
+            "book_n_workers": self.book.n_workers,
+            "book_seed": self.book.seed,
+            "scheduler": self.scheduler.snapshot(),
+        }
+        return RunCheckpoint(
+            version=RUN_CHECKPOINT_VERSION,
+            kind="daemon",
+            epoch=self.epochs,
+            now=self.scheduler.now,
+            config=self.config,
+            state=state,
+        )
+
+    @classmethod
+    def resume(cls, source, cfg: NodeConfig | None = None, *,
+               epoch: int | None = None) -> "Daemon":
+        """Rebuild a live daemon from a :meth:`run_checkpoint`.
+
+        ``source`` is anything :func:`~repro.runtime.runfile
+        .resolve_checkpoint` accepts: a :class:`RunCheckpoint`, a
+        :class:`CheckpointStore`, a store directory or a checkpoint
+        file. With a store, ``epoch`` rewinds to the newest checkpoint
+        at or before it (time travel); ``None`` resumes the latest.
+
+        The resumed daemon runs under the recorded config and continues
+        exactly where the checkpointed one stopped: running nodes are
+        reinstalled from their node checkpoints, queued and
+        still-buffered jobs keep their admission order, and the power
+        book keeps its measured profiles (no re-characterization).
+        """
+        checkpoint = resolve_checkpoint(source, kind="daemon", epoch=epoch)
+        state = checkpoint.state
+        check_snapshot_version(state, DAEMON_STATE_VERSION, "Daemon")
+        book = PowerBook(cfg, n_workers=state["book_n_workers"],
+                         seed=state["book_seed"])
+        for profile in state["book_profiles"].values():
+            if not isinstance(profile, AppPowerProfile):
+                raise CheckpointError(
+                    f"checkpoint power book holds a "
+                    f"{type(profile).__name__}, not an AppPowerProfile")
+            book.preload(profile)
+        daemon = cls(checkpoint.config, book, cfg)
+        daemon.scheduler.restore(state["scheduler"])
+        daemon.clock.advance_to(daemon.scheduler.now)
+        daemon.epochs = state["epochs"]
+        daemon.ticks = state["ticks"]
+        daemon._seq = state["seq"]
+        daemon._progress.update(state["progress"])
+        for entry in state["meta"]:
+            meta = _Admitted(entry["seq"], entry["priority"],
+                             entry["request"])
+            meta.buffered = entry["buffered"]
+            meta.killed = entry["killed"]
+            daemon._meta[entry["request"].job_id] = meta
+            if meta.buffered:
+                daemon._buffer.append(meta)
+        return daemon
 
     def close(self) -> None:
         """Tear down the scheduler's shard workers."""

@@ -24,8 +24,8 @@ checkpointing — there is always a consistent file to resume from.
 :class:`CheckpointStore` manages a *directory* of epoch-stamped
 checkpoints. Keeping more than the latest file is what turns crash
 resumption into time travel: :meth:`CheckpointStore.rewind` returns the
-newest checkpoint at-or-before a requested epoch, and the elastic layer
-(:mod:`repro.cluster.elastic`) replays from it under the same — or a
+newest checkpoint at-or-before a requested epoch, and each loop's
+``resume(source, epoch=N)`` replays from it under the same — or a
 different — policy.
 """
 
@@ -109,13 +109,13 @@ def load_run_checkpoint(path: str, *,
 
     ``kind`` (when given) pins the expected producing loop — resuming a
     cluster run from a daemon checkpoint fails loudly instead of
-    mis-restoring.
+    mis-restoring. A damaged file raises :class:`CheckpointError`
+    whatever :func:`pickle.load` trips over.
     """
     try:
         with open(path, "rb") as fh:
             checkpoint = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError) as exc:
+    except Exception as exc:
         raise CheckpointError(
             f"cannot read run checkpoint {path!r}: {exc}") from exc
     if not isinstance(checkpoint, RunCheckpoint):
@@ -230,13 +230,18 @@ def resolve_checkpoint(source, *, kind: str,
     latest checkpoint and ``epoch=N`` the newest at-or-before N
     (time travel); for single checkpoints a non-None ``epoch`` must
     match exactly. Every resume path — cluster, scheduler, daemon —
-    funnels through here, so they all accept the same sources.
+    funnels through here, so they all accept the same sources. A path
+    that does not exist raises :class:`CheckpointError` and is not
+    created.
     """
     store = None
     if isinstance(source, CheckpointStore):
         store = source
-    elif isinstance(source, str) and not os.path.isfile(source):
+    elif isinstance(source, str) and os.path.isdir(source):
         store = CheckpointStore(source, kind=kind)
+    elif isinstance(source, str) and not os.path.exists(source):
+        raise CheckpointError(
+            f"{source!r} holds no checkpoints (no such file or directory)")
     if store is not None:
         if epoch is None:
             checkpoint = store.latest()

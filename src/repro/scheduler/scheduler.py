@@ -47,6 +47,7 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
+from repro.cluster.elastic import ShardBalancer
 from repro.cluster.policies import ProgressAwareRebalancer
 from repro.cluster.sharding import ShardedLockstep, StepRequest
 from repro.cluster.variability import perturb_config
@@ -57,7 +58,11 @@ from repro.exceptions import (
     check_snapshot_version,
 )
 from repro.hardware.config import NodeConfig, skylake_config
-from repro.runtime.runfile import RUN_CHECKPOINT_VERSION, RunCheckpoint
+from repro.runtime.runfile import (
+    RUN_CHECKPOINT_VERSION,
+    RunCheckpoint,
+    resolve_checkpoint,
+)
 from repro.scheduler.events import (
     BudgetViolation,
     CapSelected,
@@ -196,7 +201,7 @@ class _RunningJob:
         self.start = start
         self.stalled = 0
         self.last_cumulative = 0.0
-        # Fresh monitors report rate 0.0 (collect_rates semantics).
+        # Fresh monitors report rate 0.0 (node_rate semantics).
         self.last_rates = [0.0] * len(node_ids)
         self.pending_budgets: dict[int, float] = {}
         self.last_results: dict = {}
@@ -252,8 +257,6 @@ class PowerAwareScheduler:
         self._started = 0  # submission-independent placement counter
         balancer = None
         if config.balance and config.shards > 1:
-            from repro.cluster.elastic import ShardBalancer
-
             balancer = ShardBalancer()
         self._lockstep = ShardedLockstep(shards=config.shards,
                                          engine=config.engine,
@@ -677,7 +680,7 @@ class PowerAwareScheduler:
                              measured_slowdown=record.measured_slowdown)
 
     # ------------------------------------------------------------------
-    # Checkpointing (see repro.daemon.checkpointing)
+    # Checkpointing (see repro.runtime.runfile)
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -778,14 +781,20 @@ class PowerAwareScheduler:
         )
 
     @classmethod
-    def resume(cls, checkpoint: RunCheckpoint, powerbook: PowerBook,
+    def resume(cls, source, powerbook: PowerBook,
                cfg: NodeConfig | None = None, *,
+               epoch: int | None = None,
                config: SchedulerConfig | None = None,
                ) -> "PowerAwareScheduler":
         """Rebuild a scheduler from a :meth:`run_checkpoint`.
 
-        ``powerbook``/``cfg`` mirror the constructor (profiles are not
-        checkpointed — pass the same book, or a preloaded equivalent).
+        ``source`` is anything :func:`~repro.runtime.runfile
+        .resolve_checkpoint` accepts (a :class:`RunCheckpoint`, a store,
+        a store directory or a file); with a store, ``epoch`` picks the
+        newest checkpoint at or before it (time travel) and ``None`` the
+        latest. ``powerbook``/``cfg`` mirror the constructor (profiles
+        are not checkpointed — pass the same book, or a preloaded
+        equivalent).
         ``config`` (when given) replaces the recorded
         :class:`SchedulerConfig` for the continuation — the time-travel
         seam (different ``power_budget``, policy, shards, engine, ...).
@@ -793,10 +802,8 @@ class PowerAwareScheduler:
         match the recorded run: the restored node state was built under
         them.
         """
-        if checkpoint.kind != "scheduler":
-            raise CheckpointError(
-                f"expected a 'scheduler' checkpoint, got "
-                f"{checkpoint.kind!r}")
+        checkpoint = resolve_checkpoint(source, kind="scheduler",
+                                        epoch=epoch)
         scheduler = cls(config if config is not None else checkpoint.config,
                         powerbook, cfg)
         scheduler.restore(checkpoint.state)

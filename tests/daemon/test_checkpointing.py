@@ -1,19 +1,15 @@
-"""Daemon persistence: periodic checkpoints, crash resume, parity."""
+"""Daemon persistence: periodic store checkpoints, crash resume, parity."""
 
 import dataclasses
+import os
 import pickle
 
 import pytest
 
 from repro.daemon import protocol as proto
-from repro.daemon.checkpointing import (
-    DAEMON_STATE_VERSION,
-    load_checkpoint,
-    resume_daemon,
-    save_checkpoint,
-)
+from repro.daemon.service import DAEMON_STATE_VERSION, Daemon
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.runtime.runfile import CheckpointStore
+from repro.runtime.runfile import CheckpointStore, save_run_checkpoint
 
 from tests.daemon.conftest import drain, make_daemon, run_request
 
@@ -38,24 +34,37 @@ def final_statuses(daemon):
             for s in JOBS]
 
 
+def control_statuses():
+    """The uninterrupted run every resumed run must equal."""
+    control = make_daemon()
+    try:
+        submit_all(control)
+        drain(control)
+        return final_statuses(control)
+    finally:
+        control.close()
+
+
+def stored_epochs(root):
+    return CheckpointStore(str(root), kind="daemon").epochs()
+
+
 class TestPeriodicCheckpoint:
     def test_written_at_cadence(self, tmp_path):
-        path = tmp_path / "d.ckpt"
-        daemon = make_daemon(checkpoint_every=2, checkpoint_path=str(path))
+        root = tmp_path / "store"
+        daemon = make_daemon(checkpoint_interval=2,
+                             checkpoint_dir=str(root))
         try:
             submit_all(daemon)
-            assert not path.exists()
+            assert stored_epochs(root) == []
+            daemon.tick(1)
+            assert stored_epochs(root) == []
+            daemon.tick(1)
+            assert stored_epochs(root) == [2]
             daemon.tick(2)
-            assert path.exists()
-            first = path.stat().st_mtime_ns
-            daemon.tick(2)
-            assert path.stat().st_mtime_ns >= first
+            assert stored_epochs(root) == [2, 4]
         finally:
             daemon.close()
-
-    def test_requires_path(self):
-        with pytest.raises(ConfigurationError):
-            make_daemon(checkpoint_every=2)
 
     def test_explicit_checkpoint_without_path_raises(self, daemon):
         with pytest.raises(ConfigurationError):
@@ -64,13 +73,14 @@ class TestPeriodicCheckpoint:
 
 class TestResume:
     def test_crash_resume_matches_uninterrupted_run(self, tmp_path):
-        path = tmp_path / "d.ckpt"
-        daemon = make_daemon(checkpoint_every=2, checkpoint_path=str(path))
+        root = tmp_path / "store"
+        daemon = make_daemon(checkpoint_interval=2,
+                             checkpoint_dir=str(root))
         submit_all(daemon)
         daemon.tick(3)  # periodic checkpoint fired at epoch 2
         daemon.close()  # "crash": epoch 3 is lost with the process
 
-        resumed = resume_daemon(str(path))
+        resumed = Daemon.resume(str(root))
         try:
             assert resumed.scheduler.now == 2.0
             assert resumed.epochs == 2
@@ -79,26 +89,18 @@ class TestResume:
         finally:
             resumed.close()
 
-        control = make_daemon()
-        try:
-            submit_all(control)
-            drain(control)
-            control_statuses = final_statuses(control)
-        finally:
-            control.close()
-
         # bit-identical outcomes: same completion times, slowdowns,
         # progress — the resumed run is indistinguishable
-        assert resumed_statuses == control_statuses
+        assert resumed_statuses == control_statuses()
 
     def test_buffered_submissions_survive(self, tmp_path):
-        path = tmp_path / "d.ckpt"
-        daemon = make_daemon(checkpoint_path=str(path))
+        root = tmp_path / "store"
+        daemon = make_daemon(checkpoint_dir=str(root))
         submit_all(daemon)  # never ticked: all three still buffered
         daemon.handle(proto.ShutdownRequest())
         daemon.close()
 
-        resumed = resume_daemon(str(path))
+        resumed = Daemon.resume(str(root))
         try:
             assert len(resumed.handle(proto.ListRequest()).jobs) == 3
             drain(resumed)
@@ -108,12 +110,12 @@ class TestResume:
             resumed.close()
 
     def test_admission_sequence_continues(self, tmp_path):
-        path = tmp_path / "d.ckpt"
-        daemon = make_daemon(checkpoint_path=str(path))
+        root = tmp_path / "store"
+        daemon = make_daemon(checkpoint_dir=str(root))
         submit_all(daemon)
         daemon.checkpoint()
         daemon.close()
-        resumed = resume_daemon(str(path))
+        resumed = Daemon.resume(str(root))
         try:
             reply = resumed.handle(run_request("late"))
             assert reply.seq == len(JOBS)  # no seq reuse after resume
@@ -123,12 +125,12 @@ class TestResume:
             resumed.close()
 
     def test_shutdown_checkpoints_when_configured(self, tmp_path):
-        path = tmp_path / "d.ckpt"
-        daemon = make_daemon(checkpoint_path=str(path))
+        root = tmp_path / "store"
+        daemon = make_daemon(checkpoint_dir=str(root))
         try:
             reply = daemon.handle(proto.ShutdownRequest())
             assert reply == proto.ShutdownReply(checkpointed=True)
-            assert path.exists()
+            assert stored_epochs(root) == [0]
         finally:
             daemon.close()
 
@@ -139,49 +141,53 @@ class TestResume:
 
 class TestLoadErrors:
     def test_missing_file(self, tmp_path):
+        missing = tmp_path / "nope" / "store"
         with pytest.raises(CheckpointError):
-            load_checkpoint(str(tmp_path / "nope.ckpt"))
+            Daemon.resume(str(missing))
+        assert not (tmp_path / "nope").exists()
 
     def test_not_a_checkpoint(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(pickle.dumps({"hello": "world"}))
+        root = tmp_path / "store"
+        store = CheckpointStore(str(root), kind="daemon")
+        with open(store.path_for(1), "wb") as fh:
+            fh.write(pickle.dumps({"hello": "world"}))
         with pytest.raises(CheckpointError):
-            load_checkpoint(str(path))
+            Daemon.resume(str(root))
 
     def test_envelope_version_mismatch(self, tmp_path, daemon):
-        path = tmp_path / "d.ckpt"
-        save_checkpoint(daemon, str(path))
-        checkpoint = load_checkpoint(str(path))
-        stale = dataclasses.replace(checkpoint, version=99)
-        path.write_bytes(pickle.dumps(stale))
+        path = str(tmp_path / "d.ckpt")
+        save_run_checkpoint(
+            dataclasses.replace(daemon.run_checkpoint(), version=99), path)
         with pytest.raises(CheckpointError, match="99"):
-            load_checkpoint(str(path))
+            Daemon.resume(path)
 
     def test_state_version_mismatch(self, tmp_path, daemon):
-        path = tmp_path / "d.ckpt"
-        save_checkpoint(daemon, str(path))
-        checkpoint = load_checkpoint(str(path))
+        checkpoint = daemon.run_checkpoint()
         stale = dataclasses.replace(
             checkpoint,
             state={**checkpoint.state,
                    "version": DAEMON_STATE_VERSION + 1})
-        path.write_bytes(pickle.dumps(stale))
+        path = str(tmp_path / "d.ckpt")
+        save_run_checkpoint(stale, path)
         with pytest.raises(CheckpointError):
-            resume_daemon(str(path))
+            Daemon.resume(path)
 
     def test_wrong_kind_rejected(self, tmp_path, daemon):
-        path = tmp_path / "d.ckpt"
-        save_checkpoint(daemon, str(path))
-        checkpoint = load_checkpoint(str(path))
-        wrong = dataclasses.replace(checkpoint, kind="cluster")
-        path.write_bytes(pickle.dumps(wrong))
+        path = str(tmp_path / "d.ckpt")
+        save_run_checkpoint(
+            dataclasses.replace(daemon.run_checkpoint(), kind="cluster"),
+            path)
         with pytest.raises(CheckpointError, match="cluster"):
-            load_checkpoint(str(path))
+            Daemon.resume(path)
 
-    def test_atomic_write_leaves_no_temp_file(self, tmp_path, daemon):
-        path = tmp_path / "d.ckpt"
-        save_checkpoint(daemon, str(path))
-        assert not (tmp_path / "d.ckpt.tmp").exists()
+    def test_atomic_write_leaves_no_temp_file(self, tmp_path):
+        root = tmp_path / "store"
+        daemon = make_daemon(checkpoint_dir=str(root))
+        try:
+            daemon.checkpoint()
+        finally:
+            daemon.close()
+        assert os.listdir(root) == ["epoch-00000000.ckpt"]
 
 
 class TestRunStore:
@@ -191,10 +197,8 @@ class TestRunStore:
     def test_interval_requires_dir(self):
         with pytest.raises(ConfigurationError):
             make_daemon(checkpoint_interval=2)
-
-    def test_store_checkpoint_without_dir_raises(self, daemon):
         with pytest.raises(ConfigurationError):
-            daemon.store_checkpoint()
+            make_daemon(checkpoint_interval=-1)
 
     def test_epoch_stamped_files_accumulate(self, tmp_path):
         root = tmp_path / "store"
@@ -203,8 +207,7 @@ class TestRunStore:
         try:
             submit_all(daemon)
             daemon.tick(5)
-            store = CheckpointStore(str(root), kind="daemon")
-            assert store.epochs() == [2, 4]
+            assert stored_epochs(root) == [2, 4]
         finally:
             daemon.close()
 
@@ -216,21 +219,14 @@ class TestRunStore:
         daemon.tick(5)  # checkpoints at 2 and 4; epoch 5 is lost
         daemon.close()
 
-        resumed = resume_daemon(str(root))
+        resumed = Daemon.resume(str(root))
         try:
             assert resumed.epochs == 4
             drain(resumed)
             resumed_statuses = final_statuses(resumed)
         finally:
             resumed.close()
-
-        control = make_daemon()
-        try:
-            submit_all(control)
-            drain(control)
-            assert resumed_statuses == final_statuses(control)
-        finally:
-            control.close()
+        assert resumed_statuses == control_statuses()
 
     def test_rewind_to_earlier_epoch(self, tmp_path):
         root = tmp_path / "store"
@@ -240,7 +236,7 @@ class TestRunStore:
         daemon.tick(6)
         daemon.close()
 
-        rewound = resume_daemon(str(root), epoch=3)
+        rewound = Daemon.resume(str(root), epoch=3)
         try:
             # newest checkpoint at-or-before 3 is epoch 2
             assert rewound.epochs == 2
@@ -248,21 +244,17 @@ class TestRunStore:
             rewound_statuses = final_statuses(rewound)
         finally:
             rewound.close()
-
-        control = make_daemon()
-        try:
-            submit_all(control)
-            drain(control)
-            assert rewound_statuses == final_statuses(control)
-        finally:
-            control.close()
+        assert rewound_statuses == control_statuses()
 
     def test_shutdown_writes_to_store(self, tmp_path):
         root = tmp_path / "store"
         daemon = make_daemon(checkpoint_dir=str(root))
         try:
+            submit_all(daemon)
+            daemon.tick(3)
             reply = daemon.handle(proto.ShutdownRequest())
             assert reply == proto.ShutdownReply(checkpointed=True)
-            assert len(CheckpointStore(str(root), kind="daemon")) == 1
+            # no periodic cadence: the shutdown file is the only one
+            assert stored_epochs(root) == [3]
         finally:
             daemon.close()

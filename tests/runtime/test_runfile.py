@@ -58,6 +58,17 @@ class TestSaveLoad:
         with pytest.raises(CheckpointError):
             load_run_checkpoint(str(path))
 
+    @pytest.mark.parametrize("data", [
+        b"\x82\x94.",
+        b"X\x02\x00\x00\x00\xff\xfe.",
+        b"}]K\x01s.",
+    ], ids=["ValueError", "UnicodeDecodeError", "TypeError"])
+    def test_damaged_bytes_raise_checkpoint_error(self, tmp_path, data):
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError, match="cannot read"):
+            load_run_checkpoint(str(path))
+
     def test_envelope_version_mismatch(self, tmp_path):
         path = tmp_path / "run.ckpt"
         path.write_bytes(pickle.dumps(
@@ -160,6 +171,16 @@ class TestResolveCheckpoint:
                                   kind="cluster").epoch == 4
         assert resolve_checkpoint(str(tmp_path), kind="cluster",
                                   epoch=3).epoch == 2
+
+    def test_missing_path_creates_nothing(self, tmp_path):
+        missing = tmp_path / "typo" / "store"
+        with pytest.raises(CheckpointError, match="no such file"):
+            resolve_checkpoint(str(missing), kind="daemon")
+        assert not (tmp_path / "typo").exists()
+
+    def test_existing_empty_store_dir(self, tmp_path):
+        with pytest.raises(CheckpointError, match="holds no checkpoints"):
+            resolve_checkpoint(str(tmp_path), kind="cluster")
 
     def test_empty_store(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoints"):
