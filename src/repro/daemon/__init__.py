@@ -44,10 +44,14 @@ and talk to it with ``python -m repro.daemon.client --socket
 /tmp/repro.sock run lammps --nodes 2 --seconds 3``.
 """
 
-from repro.daemon.client import DaemonClient
+from typing import TYPE_CHECKING
+
 from repro.daemon.protocol import PROTOCOL_VERSION, decode, encode
 from repro.daemon.server import DaemonServer
 from repro.daemon.service import Daemon, DaemonConfig
+
+if TYPE_CHECKING:  # pragma: no cover - loaded lazily by __getattr__
+    from repro.daemon.client import DaemonClient
 
 __all__ = [
     "Daemon",
@@ -58,3 +62,14 @@ __all__ = [
     "encode",
     "decode",
 ]
+
+
+def __getattr__(name: str):
+    # The client module is also the ``python -m repro.daemon.client``
+    # CLI; importing it eagerly here would load it before runpy executes
+    # it as __main__, which makes Python warn on every CLI call.
+    if name == "DaemonClient":
+        from repro.daemon.client import DaemonClient
+
+        return DaemonClient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

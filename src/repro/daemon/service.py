@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -441,18 +442,22 @@ class Daemon:
             self._admit_buffered()
             taken = 0
             while taken < max_epochs:
-                if not self.scheduler.step():
-                    if self.scheduler.now > self.clock.now:
-                        # idle-hop moved time with no epoch results
-                        self.clock.advance_to(self.scheduler.now)
+                done = self.scheduler.epochs_done
+                more = self.scheduler.step()
+                if self.scheduler.now > self.clock.now:
+                    self.clock.advance_to(self.scheduler.now)
+                # step() is False once the cluster is drained, including
+                # after the epoch that finished the last job: that epoch
+                # still counts (and is checkpointed) like any other.
+                if not more and self.scheduler.epochs_done == done:
                     break
                 taken += 1
                 self.epochs += 1
-                if self.scheduler.now > self.clock.now:
-                    self.clock.advance_to(self.scheduler.now)
                 interval = self.config.checkpoint_interval
                 if interval and self.epochs % interval == 0:
                     self.checkpoint()
+                if not more:
+                    break
         self.ticks += 1
         dropped = self.bus.dropped + sum(
             w.sub.overflowed for w in self._watchers.values())
@@ -617,8 +622,16 @@ class Daemon:
         reinstalled from their node checkpoints, queued and
         still-buffered jobs keep their admission order, and the power
         book keeps its measured profiles (no re-characterization).
+        Resumed from a store (or its directory), the daemon keeps
+        checkpointing into that store, wherever the recorded
+        ``checkpoint_dir`` pointed when the checkpoint was taken.
         """
         checkpoint = resolve_checkpoint(source, kind="daemon", epoch=epoch)
+        config = checkpoint.config
+        if isinstance(source, CheckpointStore):
+            config = dataclasses.replace(config, checkpoint_dir=source.root)
+        elif isinstance(source, str) and os.path.isdir(source):
+            config = dataclasses.replace(config, checkpoint_dir=source)
         state = checkpoint.state
         check_snapshot_version(state, DAEMON_STATE_VERSION, "Daemon")
         book = PowerBook(cfg, n_workers=state["book_n_workers"],
@@ -629,7 +642,7 @@ class Daemon:
                     f"checkpoint power book holds a "
                     f"{type(profile).__name__}, not an AppPowerProfile")
             book.preload(profile)
-        daemon = cls(checkpoint.config, book, cfg)
+        daemon = cls(config, book, cfg)
         daemon.scheduler.restore(state["scheduler"])
         daemon.clock.advance_to(daemon.scheduler.now)
         daemon.epochs = state["epochs"]

@@ -204,6 +204,11 @@ class NodeConfig:
                              self.f_nominal, self.v_nominal,
                              self.v_slope_linear)
 
+    def ladder_voltages(self) -> tuple[float, ...]:
+        """:meth:`voltage` at every ladder step, in ladder order: the
+        table both node engines price cores from."""
+        return tuple(self.voltage(f) for f in self.freq_ladder)
+
     def ladder_index(self, freq: float) -> int:
         """Index of the highest ladder step <= ``freq``.
 

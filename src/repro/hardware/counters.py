@@ -74,15 +74,20 @@ class CounterSnapshot:
 
 
 class CounterBank:
-    """Mutable per-core counters, accrued by the engine."""
+    """Mutable per-core counters, accrued by the engine.
+
+    The running totals are plain Python float lists: one element ``+=``
+    is the same IEEE-754 add a float64 array element would do, without
+    the per-call numpy scalar overhead the engine pays on every segment.
+    """
 
     def __init__(self, n_cores: int) -> None:
         if n_cores < 1:
             raise ConfigurationError(f"n_cores must be >= 1, got {n_cores}")
         self.n_cores = n_cores
-        self._ins = np.zeros(n_cores)
-        self._cyc = np.zeros(n_cores)
-        self._l3 = np.zeros(n_cores)
+        self._ins = [0.0] * n_cores
+        self._cyc = [0.0] * n_cores
+        self._l3 = [0.0] * n_cores
 
     def accrue(self, core_id: int, *, instructions: float = 0.0,
                cycles: float = 0.0, l3_misses: float = 0.0) -> None:
@@ -97,27 +102,31 @@ class CounterBank:
         """Immutable copy of the current values, stamped with ``time``."""
         return CounterSnapshot(
             time=time,
-            tot_ins=self._ins.copy(),
-            tot_cyc=self._cyc.copy(),
-            l3_tcm=self._l3.copy(),
+            tot_ins=np.array(self._ins, dtype=float),
+            tot_cyc=np.array(self._cyc, dtype=float),
+            l3_tcm=np.array(self._l3, dtype=float),
         )
 
     def reset(self) -> None:
         """Zero all counters (e.g. between measurement windows)."""
-        self._ins[:] = 0.0
-        self._cyc[:] = 0.0
-        self._l3[:] = 0.0
+        self._ins = [0.0] * self.n_cores
+        self._cyc = [0.0] * self.n_cores
+        self._l3 = [0.0] * self.n_cores
 
     # ``snapshot(time)`` above predates the checkpoint layer and returns
     # a CounterSnapshot, so the checkpoint protocol uses dump/load names.
 
     def dump_state(self) -> dict:
         """Picklable counter values (plain lists)."""
-        return {"ins": self._ins.tolist(), "cyc": self._cyc.tolist(),
-                "l3": self._l3.tolist()}
+        return {"ins": [float(v) for v in self._ins],
+                "cyc": [float(v) for v in self._cyc],
+                "l3": [float(v) for v in self._l3]}
 
     def load_state(self, state: dict) -> None:
         """Reinstall :meth:`dump_state` output."""
-        self._ins[:] = state["ins"]
-        self._cyc[:] = state["cyc"]
-        self._l3[:] = state["l3"]
+        values = [[float(v) for v in state[key]]
+                  for key in ("ins", "cyc", "l3")]
+        if any(len(v) != self.n_cores for v in values):
+            raise ConfigurationError(
+                f"counter state does not hold {self.n_cores} cores")
+        self._ins, self._cyc, self._l3 = values

@@ -2,9 +2,19 @@
 
 :class:`SimulatedNode` is the single authority for hardware state. Control
 software (the RAPL firmware emulation, the DVFS/DDCM knobs) mutates
-frequency/duty through it; the execution engine reads per-core state to
-compute work rates and calls :meth:`SimulatedNode.accrue` to integrate
-energy over each constant-rate segment.
+frequency/duty through its setters; the execution engine reads per-core
+state to compute work rates and calls :meth:`SimulatedNode.accrue` to
+integrate energy over each constant-rate segment.
+
+Every setter that actually changes a value bumps :attr:`SimulatedNode.
+version`, which is how the engine learns that the rates it computed for
+the previous segment are stale; re-setting a control to its current
+value (the firmware re-applies the uncore scale every tick) changes
+nothing. The power sample :meth:`~SimulatedNode.accrue` integrates is
+kept until a setter, :meth:`~SimulatedNode.idle_all` or
+:meth:`~SimulatedNode.restore` changes the state it priced. Hardware
+state therefore changes only through these methods; code outside the
+engine never writes :class:`~repro.hardware.cpu.CoreState` fields.
 """
 
 from __future__ import annotations
@@ -47,6 +57,11 @@ class SimulatedNode:
         # Userspace DVFS ceiling: RAPL never raises the clock above this.
         self._freq_limit = self.cfg.f_turbo
         self._last_sample: PowerSample | None = None
+        #: Bumped whenever a setter changes the hardware state.
+        self.version = 0
+        # Power at the current state, reused by accrue() until the
+        # state changes (None: price it afresh).
+        self._sample: PowerSample | None = None
         # Uncore frequency scale in (0, 1]: multiplies the node's
         # achievable memory bandwidth. Software cannot set this directly —
         # only the RAPL firmware's uncore-DVFS does (the hardware feature
@@ -82,15 +97,19 @@ class SimulatedNode:
         target = min(freq, self._freq_limit)
         idx = self.cfg.ladder_index(target)
         applied = self.cfg.freq_ladder[idx]
-        for core in self.cores:
-            core.freq = applied
+        if any(core.freq != applied for core in self.cores):
+            for core in self.cores:
+                core.freq = applied
+            self._changed()
         return applied
 
     def set_freq_limit(self, freq: float) -> float:
         """Set the userspace DVFS ceiling (snapped down to a ladder step);
         lowers the current frequency if it now exceeds the ceiling."""
         idx = self.cfg.ladder_index(freq)
-        self._freq_limit = self.cfg.freq_ladder[idx]
+        if self.cfg.freq_ladder[idx] != self._freq_limit:
+            self._freq_limit = self.cfg.freq_ladder[idx]
+            self._changed()
         if self.frequency > self._freq_limit:
             self.set_frequency(self._freq_limit)
         return self._freq_limit
@@ -101,7 +120,9 @@ class SimulatedNode:
         memory bandwidth is ``cfg.mem_bandwidth * uncore_scale``."""
         if not 0.0 < scale <= 1.0:
             raise ConfigurationError(f"uncore scale must lie in (0, 1], got {scale}")
-        self.uncore_scale = float(scale)
+        if float(scale) != self.uncore_scale:
+            self.uncore_scale = float(scale)
+            self._changed()
         return self.uncore_scale
 
     def set_dram_bw_cap(self, cap: float | None) -> None:
@@ -109,7 +130,9 @@ class SimulatedNode:
         enforces its power limit by limiting achievable traffic)."""
         if cap is not None and cap <= 0:
             raise ConfigurationError(f"bandwidth cap must be positive, got {cap}")
-        self.dram_bw_cap = cap
+        if cap != self.dram_bw_cap:
+            self.dram_bw_cap = cap
+            self._changed()
 
     @property
     def effective_mem_bandwidth(self) -> float:
@@ -137,8 +160,10 @@ class SimulatedNode:
         down to the nearest available level (but never below the lowest
         level). Overwrites any per-core settings."""
         applied = self._snap_duty(duty)
-        for core in self.cores:
-            core.duty = applied
+        if any(core.duty != applied for core in self.cores):
+            for core in self.cores:
+                core.duty = applied
+            self._changed()
         return applied
 
     def set_core_duty(self, core_id: int, duty: float) -> float:
@@ -151,8 +176,14 @@ class SimulatedNode:
                 f"core_id {core_id} out of range 0..{self.cfg.n_cores - 1}"
             )
         applied = self._snap_duty(duty)
-        self.cores[core_id].duty = applied
+        if self.cores[core_id].duty != applied:
+            self.cores[core_id].duty = applied
+            self._changed()
         return applied
+
+    def _changed(self) -> None:
+        self.version += 1
+        self._sample = None
 
     # ------------------------------------------------------------------
     # Power / energy
@@ -166,11 +197,14 @@ class SimulatedNode:
         """Integrate energy over a constant-rate segment of length ``dt``.
 
         Called by the engine *before* advancing the clock, while per-core
-        state still describes the segment.
+        state still describes the segment. Consecutive segments with the
+        same state reuse one sample.
         """
         if dt < 0:
             raise ConfigurationError(f"dt must be non-negative, got {dt}")
-        sample = self.power_model.sample(self.cores)
+        sample = self._sample
+        if sample is None:
+            sample = self._sample = self.power_model.sample(self.cores)
         self.pkg_energy += sample.package * dt
         self.dram_energy += sample.dram * dt
         self._last_sample = sample
@@ -188,6 +222,7 @@ class SimulatedNode:
 
     def idle_all(self) -> None:
         """Mark every core idle (no task, no traffic)."""
+        self._sample = None
         for core in self.cores:
             core.mode = CoreMode.IDLE
             core.compute_frac = 0.0
@@ -234,6 +269,8 @@ class SimulatedNode:
         self._last_sample = state["last_sample"]
         self.uncore_scale = state["uncore_scale"]
         self.dram_bw_cap = state["dram_bw_cap"]
+        self.version += 1
+        self._sample = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

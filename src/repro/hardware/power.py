@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.config import NodeConfig
-from repro.hardware.cpu import CoreState
+from repro.hardware.cpu import CoreMode, CoreState
 from repro.hardware.kernels import (
-    accumulate_core_power,
+    busy_activity,
     core_power,
     dram_power,
     uncore_power,
@@ -46,26 +46,78 @@ class PowerSample:
         return self.package + self.dram
 
 
+class _Voltages(dict):
+    """Supply voltage by frequency: every ladder step up front, any other
+    frequency (a hypothetical core in analysis code) on first use."""
+
+    def __init__(self, cfg: NodeConfig) -> None:
+        super().__init__(zip(cfg.freq_ladder, cfg.ladder_voltages()))
+        self.cfg = cfg
+
+    def __missing__(self, freq: float) -> float:
+        volt = self[freq] = self.cfg.voltage(freq)
+        return volt
+
+
 class PowerModel:
-    """Maps node state to instantaneous power draw."""
+    """Maps node state to instantaneous power draw.
+
+    Pricing is memoised where the inputs repeat: the supply voltage of
+    every ladder frequency is computed once, and a core that is not
+    BUSY (idle, spinning or asleep) draws a power fixed by its
+    ``(mode, freq, duty)``. Only BUSY cores, whose activity follows
+    their compute fraction, are priced afresh each time.
+    """
 
     def __init__(self, cfg: NodeConfig) -> None:
         self.cfg = cfg
+        self._volt = _Voltages(cfg)
+        self._flat: dict[tuple[CoreMode, float, float], float] = {}
+
+    def fold(self, cores: list[CoreState],
+             at: tuple[float, float] | None = None) -> tuple[float, float]:
+        """Total core power and memory traffic of ``cores``.
+
+        Both are explicit left folds in core order: builtin ``sum`` and
+        ``numpy.sum`` reassociate (compensated from Python 3.12,
+        pairwise from 8 elements), which would move the last bits and
+        break parity with the vector engine's column fold. ``at`` prices
+        every core at a candidate ``(freq, duty)`` instead of its own
+        (the RAPL firmware's step-up prediction); activity and traffic
+        stay the cores' current ones.
+        """
+        cfg = self.cfg
+        c_dyn, leak, stall = cfg.c_dyn, cfg.leak_per_volt, cfg.stall_activity
+        volts = self._volt
+        flat = self._flat
+        busy = CoreMode.BUSY
+        total = 0.0
+        traffic = 0.0
+        for core in cores:
+            freq, duty = (core.freq, core.duty) if at is None else at
+            mode = core.mode
+            if mode is busy:
+                power = core_power(volts[freq], freq, duty,
+                                   busy_activity(core.compute_frac, stall),
+                                   c_dyn, leak)
+            else:
+                power = flat.get((mode, freq, duty))
+                if power is None:
+                    power = flat[mode, freq, duty] = core_power(
+                        volts[freq], freq, duty, core.activity(cfg),
+                        c_dyn, leak)
+            total = total + power
+            traffic = traffic + core.bytes_rate
+        return total, traffic
 
     def core_power(self, core: CoreState) -> float:
         """Static + dynamic power of one core (watts)."""
-        cfg = self.cfg
-        volt = cfg.voltage(core.freq)
-        return core_power(volt, core.freq, core.duty, core.activity(cfg),
-                          cfg.c_dyn, cfg.leak_per_volt)
+        return self.fold([core])[0]
 
     def sample(self, cores: list[CoreState]) -> PowerSample:
         """Power breakdown for the whole node given per-core states."""
         cfg = self.cfg
-        core_total, traffic = accumulate_core_power(
-            (self.core_power(core) for core in cores),
-            (core.bytes_rate for core in cores),
-        )
+        core_total, traffic = self.fold(cores)
         uncore = uncore_power(traffic, cfg.uncore_base, cfg.uncore_per_bw)
         dram = dram_power(traffic, cfg.dram_base, cfg.dram_per_bw)
         return PowerSample(

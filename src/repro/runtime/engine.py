@@ -19,6 +19,13 @@ over the segment analytically, and repeats. Frequency changes made by
 timers (the RAPL firmware, the power-policy daemon) therefore take effect
 with exact timing — there is no integration error to tune away.
 
+Rates are recomputed only when they can have changed: when a task moved
+(it was resumed, so it may have finished, slept, woken or reached a
+barrier) or when a :class:`~repro.hardware.node.SimulatedNode` setter
+changed the hardware state (its ``version``). A segment that follows a
+timer which changed nothing — most firmware ticks, every monitor tick —
+reuses the previous segment's task lists, rates and power sample.
+
 For a task whose quantum needs ``C`` cycles and ``B`` bytes at effective
 clock ``s`` and granted bandwidth ``a``::
 
@@ -32,6 +39,7 @@ which reproduces the paper's Eq. 1 exactly: iteration time is
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -48,6 +56,7 @@ from repro.hardware.cpu import CoreMode
 from repro.hardware.kernels import (
     bandwidth_demand,
     compute_fraction,
+    effective_clock,
     progress_rate,
     standalone_time,
 )
@@ -194,6 +203,7 @@ class TaskState:
     rate: float = 0.0            # d(frac)/dt
     bytes_rate: float = 0.0      # B/s
     compute_frac: float = 0.0    # share of wall time retiring instructions
+    clock: float = 0.0           # effective core clock (Hz)
     wake_time: float = 0.0       # for _SLEEPING
 
     @property
@@ -235,6 +245,10 @@ class Engine:
         self._ready: list[TaskState] = []
         self._publish_hooks: list[Callable[[float, str, float], None]] = []
         self._free_cores = list(range(node.cfg.n_cores - 1, -1, -1))
+        # (node version, running, spinning, sleeping) the current rates
+        # were computed for; None once a task has moved.
+        self._segment: tuple[int, list[TaskState], list[TaskState],
+                             list[TaskState]] | None = None
 
     # -- task management ------------------------------------------------
 
@@ -307,9 +321,13 @@ class Engine:
             now = self.clock.now
             if until is not None and now >= until:
                 break
-            running = [t for t in self._tasks if t.status == _RUNNING]
-            spinning = [t for t in self._tasks if t.status == _SPINNING]
-            sleeping = [t for t in self._tasks if t.status == _SLEEPING]
+            segment = self._segment
+            if segment is None or segment[0] != self.node.version:
+                segment = (self.node.version,
+                           [t for t in self._tasks if t.status == _RUNNING],
+                           [t for t in self._tasks if t.status == _SPINNING],
+                           [t for t in self._tasks if t.status == _SLEEPING])
+            _, running, spinning, sleeping = segment
             next_timer = self._peek_timer()
 
             if not running and not sleeping:
@@ -327,19 +345,23 @@ class Engine:
                 # Idle-advance toward `until`, still firing timers and
                 # accruing idle power.
 
-            self._recompute_rates(running, spinning, sleeping)
+            if segment is not self._segment:
+                self._recompute_rates(running, spinning, sleeping)
+                self._segment = segment
 
-            dt = np.inf
+            dt = math.inf
             for t in running:
-                t_left = (1.0 - t.frac_done) / t.rate if t.rate > 0 else np.inf
-                dt = min(dt, t_left)
+                if t.rate > 0:
+                    t_left = (1.0 - t.frac_done) / t.rate
+                    if t_left < dt:
+                        dt = t_left
             for t in sleeping:
                 dt = min(dt, t.wake_time - now)
             if next_timer is not None:
                 dt = min(dt, next_timer - now)
             if until is not None:
                 dt = min(dt, until - now)
-            if not np.isfinite(dt):
+            if not math.isfinite(dt):
                 raise SimulationError(
                     "no task can make progress and no timer is pending"
                 )
@@ -392,6 +414,7 @@ class Engine:
             self._advance_task(task)
 
     def _advance_task(self, task: TaskState) -> None:
+        self._segment = None
         while True:
             try:
                 directive = next(task.gen)
@@ -454,10 +477,10 @@ class Engine:
         for t in running:
             w = t.work
             assert w is not None
+            core = node.cores[t.core_id]
+            s = t.clock = effective_clock(core.freq, core.duty)
             demand = 0.0
             if w.bytes > 0:
-                core = node.cores[t.core_id]
-                s = core.effective_clock()
                 link = cfg.core_link_bandwidth * core.duty
                 standalone = standalone_time(w.cycles, w.bytes, s, link)
                 demand = bandwidth_demand(w.bytes, standalone)
@@ -473,7 +496,7 @@ class Engine:
         for t, demand in zip(running, demands):
             w = t.work
             core = node.cores[t.core_id]
-            s = core.effective_clock()
+            s = t.clock
             if demand > 0:
                 granted = float(grants[gi])
                 gi += 1
@@ -490,6 +513,7 @@ class Engine:
             core.bytes_rate = t.bytes_rate
         for t in spinning:
             core = node.cores[t.core_id]
+            t.clock = effective_clock(core.freq, core.duty)
             core.mode = CoreMode.SPIN
             core.compute_frac = 1.0
             core.bytes_rate = 0.0
@@ -507,25 +531,23 @@ class Engine:
         node.accrue(dt)
         if dt <= 0:
             return
+        accrue = node.counters.accrue
         for t in running:
             w = t.work
-            core = node.cores[t.core_id]
-            dx = min(t.rate * dt, 1.0 - t.frac_done)
+            dx = t.rate * dt
+            left = 1.0 - t.frac_done
+            if left < dx:
+                dx = left
             t.frac_done += dx
-            node.counters.accrue(
-                t.core_id,
-                instructions=w.ins * dx,
-                cycles=core.effective_clock() * dt,
-                l3_misses=w.misses(cfg.cache_line) * dx,
-            )
+            accrue(t.core_id,
+                   instructions=w.ins * dx,
+                   cycles=t.clock * dt,
+                   l3_misses=w.misses(cfg.cache_line) * dx)
         for t in spinning:
-            core = node.cores[t.core_id]
-            s = core.effective_clock()
-            node.counters.accrue(
-                t.core_id,
-                instructions=s * cfg.spin_ipc * dt,
-                cycles=s * dt,
-            )
+            s = t.clock
+            accrue(t.core_id,
+                   instructions=s * cfg.spin_ipc * dt,
+                   cycles=s * dt)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -536,7 +558,7 @@ class Engine:
         Requires every task body to expose ``snapshot()``/``restore()``
         (see :class:`repro.apps.body.ResumableBody`); raw generators
         cannot be checkpointed and raise :class:`CheckpointError`.
-        Per-segment rate caches are recomputed each segment and core
+        Per-segment rate caches are recomputed after a restore and core
         power-model state lives in the node snapshot, so neither is
         captured here. ``_publish_hooks`` are wiring, re-created by the
         stack on rebuild.
@@ -639,3 +661,4 @@ class Engine:
         self._next_tid = state["next_tid"]
         self._next_timer_seq = state["next_timer_seq"]
         self._free_cores = list(state["free_cores"])
+        self._segment = None

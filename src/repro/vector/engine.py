@@ -13,7 +13,7 @@ approximation: every per-epoch transfer function is the same
 :mod:`repro.hardware.kernels` call the object path makes (element-wise
 array application of an IEEE-754 op equals the scalar op), reductions
 over cores/workers are written as the same sequential left folds
-``accumulate_core_power`` performs, RNG draws come from per-(node,
+``PowerModel.fold`` performs, RNG draws come from per-(node,
 worker) ``Generator`` objects in the same order the object bodies draw
 them, and the timer/delivery epsilons are the engine's own constants.
 The eligibility gate caps workers per node at 7 because ``numpy.sum``
@@ -121,7 +121,7 @@ class VectorGroup:
         self._ladder = np.asarray(cfg.freq_ladder, dtype=float)
         self._duties = np.asarray(cfg.duty_levels, dtype=float)
         self._duty_top = len(cfg.duty_levels) - 1
-        self._volt_table = np.asarray([cfg.voltage(f) for f in cfg.freq_ladder])
+        self._volt_table = np.asarray(cfg.ladder_voltages())
         self._units = RaplUnits(power=cfg.power_unit, energy=cfg.energy_unit,
                                 time=cfg.time_unit)
         # What software reads back from MSR_PKG_POWER_INFO (quantized TDP).

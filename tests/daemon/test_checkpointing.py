@@ -70,6 +70,26 @@ class TestPeriodicCheckpoint:
         with pytest.raises(ConfigurationError):
             daemon.checkpoint()
 
+    def test_draining_epoch_is_counted_and_checkpointed(self, tmp_path):
+        """The epoch that finishes the last job is an epoch like any
+        other: counted in ``InfoReply.epochs`` and stored."""
+        root = tmp_path / "store"
+        daemon = make_daemon(checkpoint_interval=1,
+                             checkpoint_dir=str(root))
+        try:
+            for job_id in ("a", "b"):
+                daemon.handle(run_request(job_id, seconds=2.5))
+            drain(daemon)
+            info = daemon.handle(proto.InfoRequest())
+            assert daemon.scheduler.epochs_done == 3
+            assert info.epochs == daemon.scheduler.epochs_done
+            assert info.now == 3.0
+            assert stored_epochs(root) == [1, 2, 3]
+            assert CheckpointStore(str(root), kind="daemon").latest().now \
+                == 3.0
+        finally:
+            daemon.close()
+
 
 class TestResume:
     def test_crash_resume_matches_uninterrupted_run(self, tmp_path):
@@ -133,6 +153,40 @@ class TestResume:
             assert stored_epochs(root) == [0]
         finally:
             daemon.close()
+
+    def test_resume_keeps_checkpointing_into_the_moved_store(self,
+                                                             tmp_path):
+        fa, fb = tmp_path / "fa", tmp_path / "fb"
+        daemon = make_daemon(checkpoint_interval=2, checkpoint_dir=str(fa))
+        submit_all(daemon)
+        daemon.tick(2)
+        daemon.close()
+        os.rename(fa, fb)
+
+        resumed = Daemon.resume(str(fb))
+        try:
+            resumed.tick(2)
+        finally:
+            resumed.close()
+        assert stored_epochs(fb) == [2, 4]
+        assert not fa.exists()
+        assert resumed.config.checkpoint_dir == str(fb)
+
+    def test_resume_from_a_store_object_keeps_that_store(self, tmp_path):
+        fa, fb = tmp_path / "fa", tmp_path / "fb"
+        daemon = make_daemon(checkpoint_interval=2, checkpoint_dir=str(fa))
+        submit_all(daemon)
+        daemon.tick(2)
+        daemon.close()
+        os.rename(fa, fb)
+
+        resumed = Daemon.resume(CheckpointStore(str(fb), kind="daemon"))
+        try:
+            resumed.tick(2)
+        finally:
+            resumed.close()
+        assert stored_epochs(fb) == [2, 4]
+        assert not fa.exists()
 
     def test_shutdown_without_path(self, daemon):
         assert daemon.handle(proto.ShutdownRequest()) == \

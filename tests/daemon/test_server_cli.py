@@ -126,6 +126,27 @@ class TestCliSmoke:
             if daemon.poll() is None:
                 daemon.kill()
 
+    def test_client_cli_starts_without_runtime_warning(self):
+        """The package must not import the client module before runpy
+        executes it as ``__main__`` (Python warns when it does)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.daemon.client", "--help"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert result.returncode == 0, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+
+    def test_package_still_exports_the_client(self):
+        import repro.daemon
+        from repro.daemon.client import DaemonClient
+
+        assert repro.daemon.DaemonClient is DaemonClient
+        assert "DaemonClient" in repro.daemon.__all__
+        with pytest.raises(AttributeError):
+            _ = repro.daemon.NoSuchName
+
     def test_resume_requires_checkpoint_dir(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"
